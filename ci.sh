@@ -41,10 +41,10 @@ run_release() {
 # trace, a metrics snapshot, the progress heartbeat) must reproduce the
 # plain run's CSV byte for byte — observability must never perturb results
 # — and its metrics/trace JSONs must pass bench/check_metrics.py. The same
-# grid at 4 repeats runs once lane-batched (the default: one compiled-
-# instance set and one batched inference pass per grid point) and once with
-# --repeat-batch=off (the legacy one-evaluation-per-cell path); the two
-# aggregate CSVs must be byte-identical. A further multi-process run with
+# grid at 4 repeats runs once in-process (one compiled-instance set and one
+# batched inference pass per grid point) and once supervised with
+# --workers=1 (one-cell units in a forked worker); the two aggregate CSVs
+# must be byte-identical. A further multi-process run with
 # an injected worker crash (XS_FAULT) must respawn,
 # re-deal, and reproduce the single-process CSV byte for byte — the
 # supervisor's core invariant, checked end to end — while still emitting a
@@ -81,7 +81,7 @@ run_sweep_smoke() {
       "$smoke_dir/metrics.json" "$smoke_dir/trace.json" \
       "$smoke_dir/sweep_telemetry.jsonl"
   fi
-  echo "=== repeat-batch equivalence smoke (batched vs sequential cells) ==="
+  echo "=== repeat-batch equivalence smoke (grouped vs one-cell units) ==="
   # 4 repeats = one full solver-lane group, so the lane-batched group path
   # actually engages (the repeats=1 runs above ride its scalar fallback).
   local rb_flags=("${smoke_flags[@]/--sweep-repeats=1/--sweep-repeats=4}")
@@ -89,10 +89,10 @@ run_sweep_smoke() {
     --cell-budget-ms=120000 --csv=sweep_rb_batched.csv \
     --manifest=sweep_rb_batched.jsonl
   "$repo_root/build-release/sweep_runner" "${rb_flags[@]}" \
-    --repeat-batch=false --cell-budget-ms=120000 \
-    --csv=sweep_rb_sequential.csv --manifest=sweep_rb_sequential.jsonl
-  if ! cmp "$smoke_dir/sweep_rb_batched.csv" "$smoke_dir/sweep_rb_sequential.csv"; then
-    echo "sweep smoke: batched-repeat CSV differs from the sequential path" >&2
+    --workers=1 --cell-budget-ms=120000 \
+    --csv=sweep_rb_cells.csv --manifest=sweep_rb_cells.jsonl
+  if ! cmp "$smoke_dir/sweep_rb_batched.csv" "$smoke_dir/sweep_rb_cells.csv"; then
+    echo "sweep smoke: batched-repeat CSV differs from one-cell units" >&2
     return 1
   fi
   echo "=== supervised sweep smoke (2 workers, injected crash) ==="

@@ -251,11 +251,12 @@ void finalize_nf(EvalResult& result) {
 // One lane per Monte-Carlo repeat of a group: each tile's deterministic prep
 // (extract, differential split) runs once and is shared, the stochastic
 // stages run per lane on private copies with private RNG streams (draws
-// identical to the sequential path), and the parasitic stage batches the
-// circuit solves across lanes (xbar/solver.h). Lane scratch persists across
-// tiles and layers so a lane's warm chain mirrors a sequential repeat's
-// chain; between repeat groups the warm state is dropped, so a repeat's
-// chain never depends on which group it rides in.
+// identical to degrade_model_matrices at that repeat's seed), and the
+// parasitic stage batches the circuit solves across lanes (xbar/solver.h).
+// Lane scratch persists across tiles and layers so a lane's warm chain
+// mirrors a one-repeat degrade's chain; between repeat groups the warm
+// state is dropped, so a repeat's chain never depends on which group it
+// rides in.
 struct BatchLane {
     Tensor g_pos, g_neg, tile_w;
     xbar::TileStageContext ctx;
@@ -296,6 +297,8 @@ Tensor degrade_mac_matrix(const Tensor& matrix, const EvalConfig& config,
 std::map<std::string, Tensor> degrade_model_matrices(
     nn::Sequential& model, const EvalConfig& config,
     std::vector<LayerEvalStats>* layer_stats) {
+    XS_TIMER_NS("core.degrade_repeat.ns");
+    XS_TRACE_SPAN("degrade_repeat");
     std::map<std::string, Tensor> result;
     const std::vector<LayerPlan> plans = build_layer_plans(model, config);
     const xbar::TilePipeline pipeline = build_pipeline(config);
@@ -377,7 +380,7 @@ std::vector<EvalResult> evaluate_repeats_on_crossbars(
             const xbar::ConductanceMapper mapper(config.xbar.device, lp.w_ref);
             const std::size_t T = tiles.size();
 
-            // Per-(repeat, tile) RNG streams, exactly the sequential path's
+            // Per-(repeat, tile) RNG streams, exactly degrade_model_matrices'
             // Rng(seed).split(layer_tag).split(tile_tag) chain (split is
             // non-mutating, so the chain is position-independent).
             tile_rngs.clear();
@@ -530,117 +533,18 @@ std::vector<EvalResult> evaluate_repeats_on_crossbars(
 EvalResult evaluate_on_crossbars(nn::Sequential& model, const nn::Dataset& test,
                                  const EvalConfig& config) {
     const std::int64_t repeats = std::max<std::int64_t>(config.repeats, 1);
-    if (config.repeat_batch) {
-        std::vector<std::uint64_t> seeds(static_cast<std::size_t>(repeats));
-        for (std::int64_t r = 0; r < repeats; ++r)
-            seeds[static_cast<std::size_t>(r)] =
-                config.seed + static_cast<std::uint64_t>(r) * 7919;
-        std::vector<EvalResult> per =
-            evaluate_repeats_on_crossbars(model, test, config, seeds);
-        // Identical accumulation order to the sequential loop below, so the
-        // averages are bit-identical too.
-        EvalResult aggregate = std::move(per[0]);
-        for (std::int64_t r = 1; r < repeats; ++r) {
-            const EvalResult& one = per[static_cast<std::size_t>(r)];
-            aggregate.accuracy += one.accuracy;
-            aggregate.nf_mean += one.nf_mean;
-            aggregate.unconverged_tiles += one.unconverged_tiles;
-        }
-        aggregate.accuracy /= static_cast<double>(repeats);
-        aggregate.nf_mean /= static_cast<double>(repeats);
-        check_failure_accounting(aggregate, repeats);
-        return aggregate;
-    }
-    // The mapping plans (and w_ref scales) are deterministic: build them once
-    // and reuse across every Monte-Carlo repeat.
-    const std::vector<LayerPlan> plans = build_layer_plans(model, config);
-    nn::InferenceEngine engine(model);
-    tensor::check(engine.mappable_count() == plans.size(),
-                  "evaluate_on_crossbars: engine/plan mappable-layer mismatch");
-    TileWorkers workers;  // producer-owned scratch, reused across repeats
-    // One stage pipeline for every layer and repeat: the stages are
-    // immutable and the fast backend's calibration cache is thread-safe, so
-    // the producer thread shares it too.
-    const xbar::TilePipeline pipeline = build_pipeline(config);
-
-    // Overlapped repeat pipeline (DESIGN.md §6): while repeat r's inference
-    // runs on this thread, a producer thread degrades repeat r+1's matrices
-    // into the other half of a double buffer. The pool's dispatch mutex
-    // serializes the two sides' parallel phases, so the overlap hides each
-    // side's serial sections (plan transforms, folding, linear/argmax)
-    // rather than doubling pool throughput. Each repeat's degraded W′
-    // reaches the engine as a refresh() override — folded after the swap, so
-    // BN folding composes with the degraded weights — and the shared model
-    // is never mutated (the old path paid two inject_matrix transpose copies
-    // per layer per repeat, plus a restore pass).
-    struct RepeatBuffer {
-        std::vector<Tensor> weights;      // per mappable layer, plan order
-        std::vector<DegradeStats> stats;  // parallel to `weights`
-    };
-    RepeatBuffer buffers[2];
-    const auto degrade_repeat = [&](std::int64_t r, RepeatBuffer& out) {
-        XS_TIMER_NS("core.degrade_repeat.ns");
-        XS_TRACE_SPAN("degrade_repeat");
-        const std::uint64_t run_seed =
+    std::vector<std::uint64_t> seeds(static_cast<std::size_t>(repeats));
+    for (std::int64_t r = 0; r < repeats; ++r)
+        seeds[static_cast<std::size_t>(r)] =
             config.seed + static_cast<std::uint64_t>(r) * 7919;
-        util::Rng rng(run_seed);
-        std::uint64_t layer_tag = 1;
-        out.weights.resize(plans.size());
-        out.stats.assign(plans.size(), DegradeStats{});
-        for (std::size_t i = 0; i < plans.size(); ++i) {
-            util::Rng layer_rng = rng.split(layer_tag++);
-            out.weights[i] =
-                degrade_with_plan(plans[i].plan, plans[i].matrix, config,
-                                  pipeline, plans[i].w_ref, layer_rng,
-                                  out.stats[i], workers);
-        }
-    };
-
-    // When this call already runs inside a pool parallel region (e.g. one
-    // cell of a sharded sweep), the producer thread's top-level dispatch
-    // would block on the pool's task slot until the enclosing region ends —
-    // and the region is waiting on the producer. Repeats then degrade
-    // synchronously on the calling thread instead; results are identical
-    // either way (same buffers, same per-repeat seeds).
-    const bool overlap = !util::in_parallel_region();
-    std::future<void> producer;
-    if (overlap)
-        producer = std::async(std::launch::async, degrade_repeat,
-                              std::int64_t{0}, std::ref(buffers[0]));
-    std::vector<const Tensor*> overrides(plans.size(), nullptr);
-    EvalResult aggregate;
-    for (std::int64_t r = 0; r < repeats; ++r) {
-        if (overlap)
-            producer.get();  // repeat r's weights are ready (rethrows on error)
-        else
-            degrade_repeat(r, buffers[r & 1]);
-        RepeatBuffer& cur = buffers[r & 1];
-        // Kick off repeat r+1 before consuming repeat r; the producer writes
-        // the other buffer, whose previous contents were consumed at r-1.
-        if (overlap && r + 1 < repeats)
-            producer = std::async(std::launch::async, degrade_repeat, r + 1,
-                                  std::ref(buffers[(r + 1) & 1]));
-
-        EvalResult one;
-        for (std::size_t i = 0; i < plans.size(); ++i) {
-            one.layers.push_back(layer_stats_of(plans[i], cur.stats[i]));
-            overrides[i] = &cur.weights[i];
-        }
-        {
-            XS_TIMER_NS("core.infer_repeat.ns");
-            XS_TRACE_SPAN("infer_repeat");
-            engine.refresh(overrides);
-            one.accuracy = nn::evaluate(engine, test);
-        }
-
-        finalize_nf(one);
-        if (r == 0) {
-            aggregate = std::move(one);
-        } else {
-            aggregate.accuracy += one.accuracy;
-            aggregate.nf_mean += one.nf_mean;
-            aggregate.unconverged_tiles += one.unconverged_tiles;
-        }
+    std::vector<EvalResult> per =
+        evaluate_repeats_on_crossbars(model, test, config, seeds);
+    EvalResult aggregate = std::move(per[0]);
+    for (std::int64_t r = 1; r < repeats; ++r) {
+        const EvalResult& one = per[static_cast<std::size_t>(r)];
+        aggregate.accuracy += one.accuracy;
+        aggregate.nf_mean += one.nf_mean;
+        aggregate.unconverged_tiles += one.unconverged_tiles;
     }
     aggregate.accuracy /= static_cast<double>(repeats);
     aggregate.nf_mean /= static_cast<double>(repeats);

@@ -64,17 +64,6 @@ struct EvalConfig {
     // the paper). Exactly restores each column's calibration-point current;
     // residual error remains for other inputs.
     bool compensate_columns = false;
-    // Evaluate all Monte-Carlo repeats in one lane-batched pass (DESIGN.md
-    // §12): every repeat shares each tile's deterministic prep, circuit
-    // solves batch across repeat lanes (xbar/solver.h), and each repeat's
-    // W′ is compiled into a packed engine instance so inference runs once
-    // with the repeat dimension as an extra batch axis (nn/infer.h
-    // forward_batched). With cold-start solves (warm_start_solves = false)
-    // results are bit-identical to the sequential loop; warm starts chain
-    // within a repeat lane instead of across repeats, so warm multi-repeat
-    // runs can differ by solver residuals far below float resolution.
-    // false = the sequential per-repeat degrade→refresh→evaluate loop.
-    bool repeat_batch = true;
 };
 
 struct LayerEvalStats {
@@ -119,23 +108,27 @@ std::map<std::string, tensor::Tensor> degrade_model_matrices(
     nn::Sequential& model, const EvalConfig& config,
     std::vector<LayerEvalStats>* layer_stats);
 
-// Full evaluation: degrade W′ and measure test accuracy; the model itself is
-// never mutated — W′ reaches a per-call inference engine (nn/infer.h) as
-// folded-weight overrides. The deterministic mapping stages (T-compaction,
-// R-rearrangement, tiling, w_ref) are computed once and reused across all
-// `config.repeats`; each repeat only redoes the stochastic stages
-// (variation, faults, circuit solve), and repeat r+1's degradation overlaps
-// repeat r's inference on a producer thread (DESIGN.md §6).
+// Full evaluation: degrade W′ and measure test accuracy, averaged over
+// `config.repeats` Monte-Carlo repeats (repeat r seeded config.seed +
+// r·7919). This is evaluate_repeats_on_crossbars over those seeds plus the
+// averaging; the model itself is never mutated.
 EvalResult evaluate_on_crossbars(nn::Sequential& model, const nn::Dataset& test,
                                  const EvalConfig& config);
 
 // One EvalResult per entry of `seeds`: repeat r degrades with seed seeds[r]
-// and all repeats evaluate in a single lane-batched pass (config.repeats is
-// ignored — the seed list IS the repeat axis). evaluate_on_crossbars with
-// repeat_batch = true is this plus the repeat averaging; sweeps call it
-// directly with one group's per-cell seeds so the group's repeats share the
-// deterministic mapping work and one inference engine while every repeat
-// still produces its own CellResult.
+// (config.repeats is ignored — the seed list IS the repeat axis). The one
+// repeat loop (DESIGN.md §12): the deterministic mapping stages
+// (T-compaction, R-rearrangement, tiling, w_ref) run once; each repeat's
+// stochastic stages (variation, faults, circuit solve) run as one lane of a
+// batched degrade, and its W′ compiles into a packed engine instance
+// (nn/infer.h). Repeats ride in groups of four: circuit solves batch across
+// a group's lanes, inference runs the group as lanes of one
+// forward_batched pass, and group g+1 compiles on a producer thread while
+// group g runs inference. Repeat r equals degrade_model_matrices at
+// seeds[r] → InferenceEngine::refresh → nn::evaluate, bit for bit with
+// cold-start solves (tests/core_repeat_batch_test.cpp). Sweeps call this
+// directly with one grid point's per-cell seeds, so every repeat still
+// produces its own CellResult.
 std::vector<EvalResult> evaluate_repeats_on_crossbars(
     nn::Sequential& model, const nn::Dataset& test, const EvalConfig& config,
     const std::vector<std::uint64_t>& seeds);

@@ -120,12 +120,11 @@ void pool_kernel(void* pv, std::size_t /*worker*/, std::size_t lo,
 }
 
 // Per-thread scratch shared by every engine on the thread: the activation
-// ping-pong pair (scalar run() and forward_batched() use it in turn — a
-// forward is synchronous, so the two never overlap on one thread) and the
-// packed im2col panel store. Evaluators construct a fresh engine per
-// Monte-Carlo evaluation; engine-owned buffers this large (multi-MB) would be
-// mmap'd by the allocator and returned to the OS on every engine destruction,
-// repaying page faults and zero fills each eval. Thread-locality makes the
+// ping-pong pair (a forward is synchronous, so two engines never overlap on
+// one thread) and the packed im2col panel store. Evaluators construct a
+// fresh engine per Monte-Carlo evaluation; engine-owned buffers this large
+// (multi-MB) would be mmap'd by the allocator and returned to the OS on
+// every engine destruction, repaying page faults and zero fills each eval. Thread-locality makes the
 // sharing race-free; the engine copies its final output out of the arena
 // before returning (InferenceEngine::out_), so callers never hold references
 // into this scratch.
@@ -220,20 +219,20 @@ void InferenceEngine::refresh() {
 void InferenceEngine::refresh(const std::vector<const Tensor*>& mac_overrides) {
     check(mac_overrides.empty() || mac_overrides.size() == mappable_count_,
           "InferenceEngine::refresh: override count must match mappable layers");
-    std::size_t slot = 0;
-    for (Step& s : steps_) {
-        if (s.kind != Step::Kind::kConv && s.kind != Step::Kind::kLinear)
-            continue;
-        const Tensor* ov =
-            mac_overrides.empty() ? nullptr : mac_overrides[slot];
-        ++slot;
-        refresh_step(s, ov);
-    }
+    // Folds straight into the engine's own instance, outside the
+    // nn.compile.ns timer: that histogram counts Monte-Carlo instance
+    // compiles only.
+    own_.slots.resize(mappable_count_);
+    for (std::size_t slot = 0; slot < mappable_count_; ++slot)
+        fold_step(steps_[mappable_steps_[slot]],
+                  mac_overrides.empty() ? nullptr : mac_overrides[slot],
+                  own_.slots[slot]);
 }
 
 void InferenceEngine::fold_step(const Step& step, const Tensor* mac_override,
-                                Tensor& w, Tensor& b,
-                                tensor::PackedGemmA& wpack) const {
+                                CompiledInstance::Slot& slot) const {
+    Tensor& w = slot.w;
+    Tensor& b = slot.b;
     if (step.kind == Step::Kind::kConv) {
         auto* conv = static_cast<Conv2d*>(step.layer);
         const std::int64_t cout = step.cout, patch = step.patch;
@@ -268,7 +267,7 @@ void InferenceEngine::fold_step(const Step& step, const Tensor* mac_override,
                     dst[p] = static_cast<float>(s * row[p]);
             }
         }
-        tensor::gemm_pack_a(cout, patch, w.data(), patch, wpack);
+        tensor::gemm_pack_a(cout, patch, w.data(), patch, slot.wpack);
         return;
     }
     auto* fc = static_cast<Linear*>(step.layer);
@@ -293,10 +292,6 @@ void InferenceEngine::fold_step(const Step& step, const Tensor* mac_override,
             b[o] = fc->has_bias() ? fc->bias().value[o] : 0.0f;
 }
 
-void InferenceEngine::refresh_step(Step& step, const Tensor* mac_override) {
-    fold_step(step, mac_override, step.w, step.b, step.wpack);
-}
-
 void InferenceEngine::compile_instance_slot(std::size_t slot,
                                             const Tensor* mac_override,
                                             CompiledInstance& out) const {
@@ -304,8 +299,7 @@ void InferenceEngine::compile_instance_slot(std::size_t slot,
           "InferenceEngine::compile_instance_slot: slot out of range");
     XS_TIMER_NS("nn.compile.ns");
     if (out.slots.size() != mappable_count_) out.slots.resize(mappable_count_);
-    CompiledInstance::Slot& s = out.slots[slot];
-    fold_step(steps_[mappable_steps_[slot]], mac_override, s.w, s.b, s.wpack);
+    fold_step(steps_[mappable_steps_[slot]], mac_override, out.slots[slot]);
 }
 
 void InferenceEngine::compile_instance(
@@ -319,325 +313,25 @@ void InferenceEngine::compile_instance(
 }
 
 const Tensor& InferenceEngine::forward(const Tensor& x) {
-    return run(x.data(), x.shape());
+    return forward(x.data(), x.shape());
 }
 
 const Tensor& InferenceEngine::forward(const float* x, const Shape& shape) {
-    return run(x, shape);
-}
-
-const Tensor& InferenceEngine::run(const float* x, const Shape& shape) {
-    XS_TIMER_NS("nn.forward.ns");
-    XS_COUNT("nn.forwards", 1);
     XS_TRACE_SPAN("forward");
-    EngineScratch& scratch = engine_scratch();
-    Tensor* const arena_ = scratch.arena;
-    std::vector<float>& packedb_ = scratch.packedb;
-    cur_shape_ = shape;  // capacity-reusing copy
-    const float* cur = x;
-    int cur_arena = -1;   // -1: reading caller storage (zero-copy input)
-    bool cn = false;      // channel-major (C × N·HW) conv-trunk layout
-    const auto dst_of = [](int arena) { return arena == 0 ? 1 : 0; };
-
-    // CN → batch-major NCHW conversion (per-(channel, image) plane memcpy),
-    // used at the flatten boundary, before generic fallbacks, and when a
-    // model ends inside the conv trunk.
-    const auto to_batch_major = [&]() {
-        const std::int64_t n = cur_shape_[0], c = cur_shape_[1],
-                           hw = cur_shape_[2] * cur_shape_[3];
-        const int dst = dst_of(cur_arena);
-        Tensor& y = arena_[dst];
-        y.reset(cur_shape_);
-        for (std::int64_t ch = 0; ch < c; ++ch)
-            for (std::int64_t i = 0; i < n; ++i)
-                std::memcpy(y.data() + (i * c + ch) * hw,
-                            cur + (ch * n + i) * hw,
-                            static_cast<std::size_t>(hw) * sizeof(float));
-        cur = y.data();
-        cur_arena = dst;
-        cn = false;
-    };
-
-    for (Step& step : steps_) {
-        switch (step.kind) {
-            case Step::Kind::kConv: {
-                XS_TIMER_NS("nn.step.conv.ns");
-                XS_TRACE_SPAN("conv");
-                check(cur_shape_.size() == 4 && cur_shape_[1] == step.cin,
-                      "InferenceEngine: conv input shape mismatch");
-                const std::int64_t n = cur_shape_[0], h = cur_shape_[2],
-                                   w = cur_shape_[3];
-                const std::int64_t oh =
-                    tensor::conv_out_size(h, step.k, step.stride, step.pad);
-                const std::int64_t ow =
-                    tensor::conv_out_size(w, step.k, step.stride, step.pad);
-                const std::int64_t n_cols = n * oh * ow;
-                // Phase 1: batched im2col into packed panels (one buffer,
-                // grown once, reused across layers and batches).
-                const std::int64_t packed_size =
-                    tensor::packed_b_size(step.patch, n_cols);
-                if (static_cast<std::int64_t>(packedb_.size()) < packed_size)
-                    packedb_.resize(static_cast<std::size_t>(packed_size));
-                PackCtx pctx;
-                pctx.x = cur;
-                pctx.packed = packedb_.data();
-                pctx.n = n;
-                pctx.cin = step.cin;
-                pctx.h = h;
-                pctx.w = w;
-                pctx.s_img = cn ? h * w : step.cin * h * w;
-                pctx.s_c = cn ? n * h * w : h * w;
-                pctx.k = step.k;
-                pctx.stride = step.stride;
-                pctx.pad = step.pad;
-                // Phase 2 state: one tiled GEMM for the whole batch,
-                // channel-major output, epilogue fused into each tile.
-                const int dst = dst_of(cur_arena);
-                Tensor& y = arena_[dst];
-                y.reset(step.cout, n_cols);
-                TileCtx tctx;
-                tctx.wpack = &step.wpack;
-                tctx.wraw = step.w.data();
-                tctx.packed = packedb_.data();
-                tctx.y = y.data();
-                tctx.bias = step.epilogue ? step.b.data() : nullptr;
-                tctx.lda = step.patch;
-                tctx.n_cols = n_cols;
-                tctx.relu = step.relu;
-                // Walk kPackNc-wide n-blocks, running the GEMM tiles of a
-                // block right after packing its panels so the packed data is
-                // consumed while still cache-resident (a whole-layer pack
-                // would stream megabytes through L2 twice). Tile index
-                // nb·row_panels + ip makes each block's tiles contiguous.
-                const std::int64_t total_panels =
-                    tensor::packed_b_panels(n_cols);
-                const std::int64_t block_panels =
-                    tensor::kPackNc / tensor::kPackNr;
-                const std::int64_t row_panels =
-                    (step.cout + tensor::kPackMr - 1) / tensor::kPackMr;
-                const std::int64_t n_blocks =
-                    (total_panels + block_panels - 1) / block_panels;
-                // Per-block pack/kernel timing is detail-gated
-                // (XS_METRICS=detail): always-on it would add hundreds of
-                // clock reads per layer to the hottest loop in the engine.
-                const bool split_timing = util::metrics::detail_enabled();
-                std::uint64_t pack_ns = 0, kernel_ns = 0;
-                for (std::int64_t nb = 0; nb < n_blocks; ++nb) {
-                    const std::int64_t p_lo = nb * block_panels;
-                    const std::int64_t p_hi =
-                        std::min(total_panels, p_lo + block_panels);
-                    const std::uint64_t t0 =
-                        split_timing ? util::metrics::detail::now_ns() : 0;
-                    util::parallel_for_workers(
-                        static_cast<std::size_t>(p_lo),
-                        static_cast<std::size_t>(p_hi), &pack_kernel, &pctx);
-                    const std::uint64_t t1 =
-                        split_timing ? util::metrics::detail::now_ns() : 0;
-                    util::parallel_for_workers(
-                        static_cast<std::size_t>(nb * row_panels),
-                        static_cast<std::size_t>((nb + 1) * row_panels),
-                        &gemm_tile_kernel, &tctx);
-                    if (split_timing) {
-                        pack_ns += t1 - t0;
-                        kernel_ns += util::metrics::detail::now_ns() - t1;
-                    }
-                }
-                if (split_timing) {
-                    static const util::metrics::Histogram pack_hist =
-                        util::metrics::histogram("gemm.pack.ns");
-                    static const util::metrics::Histogram kernel_hist =
-                        util::metrics::histogram("gemm.kernel.ns");
-                    pack_hist.record(pack_ns);
-                    kernel_hist.record(kernel_ns);
-                }
-                cur = y.data();
-                cur_arena = dst;
-                cn = true;
-                cur_shape_.resize(4);
-                cur_shape_[0] = n;
-                cur_shape_[1] = step.cout;
-                cur_shape_[2] = oh;
-                cur_shape_[3] = ow;
-                break;
-            }
-            case Step::Kind::kLinear: {
-                XS_TIMER_NS("nn.step.linear.ns");
-                XS_TRACE_SPAN("linear");
-                check(cur_shape_.size() == 2 &&
-                          cur_shape_[1] == step.in_features,
-                      "InferenceEngine: linear input shape mismatch");
-                const std::int64_t n = cur_shape_[0];
-                const std::int64_t in = step.in_features,
-                                   out = step.out_features;
-                const int dst = dst_of(cur_arena);
-                Tensor& y = arena_[dst];
-                y.reset(n, out);
-                // y (n × out) = x (n × in) · W_folded (in × out)
-                tensor::gemm_serial(n, out, in, 1.0f, cur, in, step.w.data(),
-                                    out, 0.0f, y.data(), out);
-                if (step.epilogue) {
-                    for (std::int64_t i = 0; i < n; ++i) {
-                        float* row = y.data() + i * out;
-                        if (step.relu) {
-                            for (std::int64_t o = 0; o < out; ++o)
-                                row[o] = std::max(row[o] + step.b[o], 0.0f);
-                        } else {
-                            for (std::int64_t o = 0; o < out; ++o)
-                                row[o] += step.b[o];
-                        }
-                    }
-                }
-                cur = y.data();
-                cur_arena = dst;
-                cur_shape_.resize(2);
-                cur_shape_[0] = n;
-                cur_shape_[1] = out;
-                break;
-            }
-            case Step::Kind::kBatchNorm: {
-                check(cur_shape_.size() == 4,
-                      "InferenceEngine: BatchNorm expects NCHW input");
-                auto* bn = static_cast<BatchNorm2d*>(step.layer);
-                check(cur_shape_[1] == bn->channels(),
-                      "InferenceEngine: BatchNorm channel mismatch");
-                const std::int64_t n = cur_shape_[0], c = cur_shape_[1],
-                                   hw = cur_shape_[2] * cur_shape_[3];
-                const int dst = dst_of(cur_arena);
-                Tensor& y = arena_[dst];
-                if (cn) {
-                    y.reset(c, n * hw);
-                } else {
-                    y.reset(cur_shape_);
-                }
-                for (std::int64_t ch = 0; ch < c; ++ch) {
-                    double sd, td;
-                    bn->inference_affine(ch, sd, td);
-                    const float s = static_cast<float>(sd);
-                    const float t = static_cast<float>(td);
-                    if (cn) {
-                        // Channel-major: the whole channel is one run.
-                        const float* px = cur + ch * n * hw;
-                        float* py = y.data() + ch * n * hw;
-                        for (std::int64_t q = 0; q < n * hw; ++q)
-                            py[q] = s * px[q] + t;
-                        continue;
-                    }
-                    for (std::int64_t i = 0; i < n; ++i) {
-                        const float* px = cur + (i * c + ch) * hw;
-                        float* py = y.data() + (i * c + ch) * hw;
-                        for (std::int64_t q = 0; q < hw; ++q)
-                            py[q] = s * px[q] + t;
-                    }
-                }
-                cur = y.data();
-                cur_arena = dst;
-                break;
-            }
-            case Step::Kind::kReLU: {
-                const std::int64_t numel = tensor::shape_numel(cur_shape_);
-                if (cur_arena >= 0) {
-                    // The activation already lives in the arena: clamp it in
-                    // place, no buffer hop.
-                    float* p = arena_[cur_arena].data();
-                    for (std::int64_t i = 0; i < numel; ++i)
-                        if (p[i] < 0.0f) p[i] = 0.0f;
-                } else {
-                    Tensor& y = arena_[0];
-                    y.reset(cur_shape_);
-                    for (std::int64_t i = 0; i < numel; ++i)
-                        y[i] = cur[i] > 0.0f ? cur[i] : 0.0f;
-                    cur = y.data();
-                    cur_arena = 0;
-                }
-                break;
-            }
-            case Step::Kind::kMaxPool:
-            case Step::Kind::kAvgPool: {
-                check(cur_shape_.size() == 4,
-                      "InferenceEngine: pool expects NCHW input");
-                const std::int64_t n = cur_shape_[0], c = cur_shape_[1],
-                                   h = cur_shape_[2], w = cur_shape_[3];
-                const std::int64_t k = step.pool_kernel;
-                check(h % k == 0 && w % k == 0,
-                      "InferenceEngine: pool input not divisible by kernel");
-                const std::int64_t oh = h / k, ow = w / k;
-                const int dst = dst_of(cur_arena);
-                Tensor& y = arena_[dst];
-                if (cn) {
-                    y.reset(c, n * oh * ow);
-                } else {
-                    y.reset(n, c, oh, ow);
-                }
-                PoolCtx ctx;
-                ctx.x = cur;
-                ctx.y = y.data();
-                ctx.h = h;
-                ctx.w = w;
-                ctx.k = k;
-                ctx.oh = oh;
-                ctx.ow = ow;
-                ctx.is_max = step.kind == Step::Kind::kMaxPool;
-                // Plane i → plane i in both layouts, so one dispatch over
-                // all n·c planes serves NCHW and CN alike.
-                util::parallel_for_workers(0, static_cast<std::size_t>(n * c),
-                                           &pool_kernel, &ctx);
-                cur = y.data();
-                cur_arena = dst;
-                cur_shape_.resize(4);
-                cur_shape_[0] = n;
-                cur_shape_[1] = c;
-                cur_shape_[2] = oh;
-                cur_shape_[3] = ow;
-                break;
-            }
-            case Step::Kind::kFlatten: {
-                check(!cur_shape_.empty(),
-                      "InferenceEngine: flatten expects a batch dimension");
-                if (cn) to_batch_major();  // one transpose, smallest map
-                const std::int64_t n = cur_shape_[0];
-                const std::int64_t numel = tensor::shape_numel(cur_shape_);
-                cur_shape_.resize(2);
-                cur_shape_[0] = n;
-                cur_shape_[1] = n > 0 ? numel / n : 0;
-                break;  // beyond the transpose the buffer is untouched
-            }
-            case Step::Kind::kGeneric: {
-                // Correctness fallback for layer types the engine doesn't
-                // know: route through the allocating Layer::forward.
-                if (cn) to_batch_major();
-                if (cur_arena < 0) {
-                    Tensor& in = arena_[0];
-                    in.reset(cur_shape_);
-                    std::memcpy(in.data(), cur,
-                                static_cast<std::size_t>(in.numel()) *
-                                    sizeof(float));
-                    cur_arena = 0;
-                } else {
-                    arena_[cur_arena].reset(cur_shape_);  // metadata only
-                }
-                const int dst = dst_of(cur_arena);
-                arena_[dst] =
-                    step.layer->forward(arena_[cur_arena], /*training=*/false);
-                cur = arena_[dst].data();
-                cur_arena = dst;
-                cur_shape_ = arena_[dst].shape();
-                break;
-            }
-        }
-    }
-
-    if (cn) to_batch_major();  // model ends inside the conv trunk
-    // Copy the result out of the shared per-thread arena: the returned
-    // reference must survive other engines forwarding on this thread.
-    out_.reset(cur_shape_);
-    std::memcpy(out_.data(), cur,
-                static_cast<std::size_t>(out_.numel()) * sizeof(float));
-    return out_;
+    const CompiledInstance* own = &own_;
+    return run(x, shape, &own, 1);
 }
 
 const Tensor& InferenceEngine::forward_batched(
     const float* x, const Shape& shape, const CompiledInstance* const* instances,
     std::size_t count) {
+    XS_TRACE_SPAN("forward_batched");
+    return run(x, shape, instances, count);
+}
+
+const Tensor& InferenceEngine::run(const float* x, const Shape& shape,
+                                   const CompiledInstance* const* instances,
+                                   std::size_t count) {
     check(count >= 1, "InferenceEngine::forward_batched: need ≥1 instance");
     for (std::size_t r = 0; r < count; ++r)
         check(instances[r] != nullptr &&
@@ -645,7 +339,6 @@ const Tensor& InferenceEngine::forward_batched(
               "InferenceEngine::forward_batched: instance slot count mismatch");
     XS_TIMER_NS("nn.forward.ns");
     XS_COUNT("nn.forwards", static_cast<std::uint64_t>(count));
-    XS_TRACE_SPAN("forward_batched");
 
     EngineScratch& scratch = engine_scratch();
     Tensor* const batch_arena_ = scratch.arena;
@@ -979,8 +672,7 @@ const Tensor& InferenceEngine::forward_batched(
             }
             case Step::Kind::kGeneric: {
                 // Correctness fallback: route each lane's block through the
-                // allocating Layer::forward (kGeneric allocates in the
-                // scalar path too).
+                // allocating Layer::forward.
                 if (cn) to_batch_major_lanes();
                 const std::int64_t in_block = block_numel();
                 Tensor in(cur_shape_);

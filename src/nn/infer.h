@@ -28,6 +28,13 @@
 // touching the model — folding happens after the swap, per refresh, so BN
 // folding composes correctly with per-repeat degraded weights.
 //
+// One forward path: the folded weights live in a CompiledInstance, and
+// every forward is forward_batched over one or more instances. refresh()
+// compiles into the engine's own instance and forward() is a one-lane
+// forward_batched over it; the Monte-Carlo evaluator compiles one instance
+// per repeat and runs them as lanes of one pass. Layer::forward stays the
+// reference the engine is tested against.
+//
 // After a warm-up forward, steady-state forwards of the same batch shape
 // perform zero heap allocations (pinned by tests/nn_infer_test.cpp).
 #pragma once
@@ -74,8 +81,9 @@ public:
     InferenceEngine(InferenceEngine&&) = default;
     InferenceEngine& operator=(InferenceEngine&&) = default;
 
-    // Rebuild folded weights/biases from the model's current parameters.
-    // Call after any parameter mutation (training step, weight injection).
+    // Rebuild the engine's own compiled instance (folded weights/biases)
+    // from the model's current parameters. Call after any parameter
+    // mutation (training step, weight injection).
     void refresh();
 
     // Same, but each mappable (Conv2d/Linear) layer takes its MAC matrix
@@ -85,7 +93,8 @@ public:
     // crossbar weights W′ are evaluated without mutating the model.
     void refresh(const std::vector<const tensor::Tensor*>& mac_overrides);
 
-    // Eval-mode forward. The returned reference points at an engine-owned
+    // Eval-mode forward through the engine's own instance: a one-lane
+    // forward_batched. The returned reference points at an engine-owned
     // buffer and stays valid until the next forward call on this engine.
     const Tensor& forward(const Tensor& x);
     // Zero-copy variant reading the batch straight from caller storage
@@ -96,7 +105,7 @@ public:
     // storage reused when already shaped). `mac_override` follows the same
     // contract as refresh(): a (inputs × outputs) MAC matrix, or null for
     // the layer's own parameters. Folding runs in double and the conv pack
-    // is rebuilt, exactly like refresh_step — an instance compiled from the
+    // is rebuilt, exactly like refresh() — an instance compiled from the
     // same MAC matrices is bit-identical to a refresh()ed engine.
     void compile_instance_slot(std::size_t slot,
                                const tensor::Tensor* mac_override,
@@ -109,7 +118,7 @@ public:
     // Evaluate `count` compiled instances over ONE input batch in a single
     // pass: lanes share the input (and the first conv's im2col pack) and
     // produce a lane-major stacked output — rows [r·n, (r+1)·n) are
-    // instance r's result, bit-identical to refresh()+forward() per lane.
+    // instance r's result, bit-identical to a one-lane pass over it.
     // The returned reference points at an engine-owned buffer and stays
     // valid until the next forward/forward_batched call on this engine.
     // Steady state performs no heap allocation (kGeneric fallback steps
@@ -142,26 +151,23 @@ private:
         std::int64_t cin = 0, cout = 0, k = 0, stride = 0, pad = 0, patch = 0;
         std::int64_t in_features = 0, out_features = 0;
         std::int64_t pool_kernel = 0;
-        Tensor w;  // folded weights: kConv (Cout × patch), kLinear (in × out)
-        Tensor b;  // folded bias (Cout) / (out); empty when !epilogue
-        // Conv weights packed once per refresh for the batched tile GEMM —
-        // the per-call sparsity scan and A-packing drop out of the batch
-        // loop (pruned layers stay on the zero-skip path instead).
-        tensor::PackedGemmA wpack;
     };
 
     void build_plan(Sequential& model);
-    // Shared folding kernel: refresh_step writes into the step's own
-    // buffers, compile_instance_slot into an instance slot.
-    void fold_step(const Step& step, const Tensor* mac_override, Tensor& w,
-                   Tensor& b, tensor::PackedGemmA& wpack) const;
-    void refresh_step(Step& step, const Tensor* mac_override);
+    // Shared folding kernel of refresh() and compile_instance_slot.
+    void fold_step(const Step& step, const Tensor* mac_override,
+                   CompiledInstance::Slot& slot) const;
 
-    const Tensor& run(const float* x, const tensor::Shape& shape);
+    // The forward body behind forward() and forward_batched(), which only
+    // differ in their trace span.
+    const Tensor& run(const float* x, const tensor::Shape& shape,
+                      const CompiledInstance* const* instances,
+                      std::size_t count);
 
     std::vector<Step> steps_;
     std::vector<std::size_t> mappable_steps_;  // steps_ indices of mappables
     std::size_t mappable_count_ = 0;
+    CompiledInstance own_;  // refresh()'s weights, forward()'s one lane
     // Activation ping-pong buffers and the packed im2col panel store live in
     // a per-thread scratch arena shared by every engine on the thread (see
     // engine_scratch() in infer.cpp): evaluators build a fresh engine per

@@ -42,100 +42,20 @@ std::vector<core::ModelSpec> distinct_model_specs(
 
 }  // namespace
 
-// Execute one grid cell: resolve the prepared (cached) model, build the
-// evaluation config from the cell's axes, run the crossbar evaluation for a
-// single Monte-Carlo draw, and attach the analytic energy estimate. Safe to
-// call concurrently from shard chunks: the context's caches are locked, the
+// The one sweep work unit: ≥1 cells of one grid point (they share every
+// axis except the repeat index), so one EvalConfig, built from the head
+// cell, serves them all; only the per-cell seeds differ. Safe to call
+// concurrently from shard chunks: the context's caches are locked, the
 // shared model is only read, and all scratch is call-local. Also the body
-// of the supervisor's worker processes (sweep/supervisor.h).
-CellResult run_sweep_cell(core::ExperimentContext& ctx, const SweepSpec& spec,
-                          const SweepCell& cell) {
-    XS_TIMER_NS("sweep.cell.ns");
-    XS_TRACE_SPAN("cell");
-    XS_COUNT("sweep.cells.executed", 1);
-    const auto t0 = std::chrono::steady_clock::now();
-    const core::ModelSpec model_spec =
-        ctx.spec(cell.variant, cell.num_classes, cell.prune.method,
-                 cell.prune.sparsity, cell.mitigation.wct);
-    core::PreparedModel& model = [&]() -> core::PreparedModel& {
-        XS_TIMER_NS("sweep.phase.prepare.ns");
-        XS_TRACE_SPAN("cell.prepare");
-        return ctx.prepared(model_spec);
-    }();
-
-    core::EvalConfig eval = ctx.eval_config(model, cell.prune.method,
-                                            cell.xbar_size,
-                                            cell.mitigation.rearrange);
-    eval.backend = cell.backend;
-    eval.xbar.device.sigma_variation = cell.sigma;
-    eval.xbar.parasitics.r_driver *= cell.parasitic_scale;
-    eval.xbar.parasitics.r_wire_row *= cell.parasitic_scale;
-    eval.xbar.parasitics.r_wire_col *= cell.parasitic_scale;
-    eval.xbar.parasitics.r_sense *= cell.parasitic_scale;
-    eval.faults.p_stuck_min = cell.faults.p_stuck_min;
-    eval.faults.p_stuck_max = cell.faults.p_stuck_max;
-    if (cell.quant_levels > 0) eval.conductance_levels = cell.quant_levels;
-    eval.compensate_columns = cell.mitigation.compensate;
-    eval.repeats = 1;  // the Monte-Carlo axis lives in the grid
-    eval.seed = cell_seed(ctx.seed(), cell);
-    eval.warm_start_solves = spec.warm_start_solves;
-    // One cell is one Monte-Carlo draw, but it still rides the compiled-
-    // instance path: a single-lane batched evaluation degrades through the
-    // scalar solver chain (the batch stage falls back below two lanes) and
-    // is bit-identical to the sequential path — pinned by the repeat-batch
-    // determinism tests — so supervisor and service workers, which execute
-    // cells one at a time, stay byte-comparable with batched in-process
-    // runs while sharing the pre-packed GEMM instances and the
-    // degrade/forward overlap.
-    eval.repeat_batch = true;
-
-    core::EvalResult r;
-    {
-        XS_TIMER_NS("sweep.phase.eval.ns");
-        XS_TRACE_SPAN("cell.eval");
-        if (spec.nf_only) {
-            // NF is a parasitics metric (paper Fig. 3(d)): no inference
-            // pass, no device variation.
-            eval.include_variation = false;
-            r = core::measure_nf(model.model, eval);
-        } else {
-            const data::TrainTest& tt = ctx.dataset(cell.num_classes);
-            r = core::evaluate_on_crossbars(model.model, tt.test, eval);
-        }
-    }
-    const map::EnergyReport energy = map::estimate_energy(
-        model.model, cell.prune.method, eval.xbar, map::EnergyConfig{});
-
-    CellResult out;
-    out.backend = xbar::backend_name(cell.backend);
-    out.accuracy = r.accuracy;
-    out.nf_mean = r.nf_mean;
-    out.energy_pj = energy.total_energy_pj();
-    out.software_acc = model.software_accuracy;
-    out.tiles = r.total_tiles;
-    out.solver_failures = r.unconverged_tiles;
-    out.wall_ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
-    return out;
-}
-
-// Execute one grid point's repeats in a single lane-batched evaluation. The
-// cells share every axis except the repeat index, so one EvalConfig (built
-// from the head cell exactly like run_sweep_cell builds it) serves the whole
-// group; only the per-repeat seeds differ, and those reach the evaluator as
-// an explicit seed list — the same cell_seed values the sequential path
-// would use, so cold-start lanes reproduce run_sweep_cell bit for bit.
+// of the supervisor's worker processes (sweep/supervisor.h), one cell at a
+// time.
 std::vector<CellResult> run_sweep_group(
     core::ExperimentContext& ctx, const SweepSpec& spec,
     const std::vector<const SweepCell*>& cells) {
     tensor::check(!cells.empty(), "run_sweep_group: empty cell group");
-    tensor::check(!spec.nf_only,
-                  "run_sweep_group: nf-only sweeps have no inference pass to "
-                  "batch; use run_sweep_cell");
     const std::size_t lanes = cells.size();
     XS_TIMER_NS("sweep.cell.ns");
-    XS_TRACE_SPAN("cell_group");
+    XS_TRACE_SPAN(lanes == 1 ? "cell" : "cell_group");
     XS_COUNT("sweep.cells.executed", static_cast<std::uint64_t>(lanes));
     const auto t0 = std::chrono::steady_clock::now();
     const SweepCell& head = *cells.front();
@@ -167,13 +87,23 @@ std::vector<CellResult> run_sweep_group(
     for (std::size_t r = 0; r < lanes; ++r)
         seeds[r] = cell_seed(ctx.seed(), *cells[r]);
 
-    std::vector<core::EvalResult> per;
+    std::vector<core::EvalResult> per(lanes);
     {
         XS_TIMER_NS("sweep.phase.eval.ns");
         XS_TRACE_SPAN("cell.eval");
-        const data::TrainTest& tt = ctx.dataset(head.num_classes);
-        per = core::evaluate_repeats_on_crossbars(model.model, tt.test, eval,
-                                                  seeds);
+        if (spec.nf_only) {
+            // NF is a parasitics metric (paper Fig. 3(d)): no inference
+            // pass, no device variation.
+            eval.include_variation = false;
+            for (std::size_t r = 0; r < lanes; ++r) {
+                eval.seed = seeds[r];
+                per[r] = core::measure_nf(model.model, eval);
+            }
+        } else {
+            const data::TrainTest& tt = ctx.dataset(head.num_classes);
+            per = core::evaluate_repeats_on_crossbars(model.model, tt.test,
+                                                      eval, seeds);
+        }
     }
     const map::EnergyReport energy = map::estimate_energy(
         model.model, head.prune.method, eval.xbar, map::EnergyConfig{});
@@ -425,18 +355,16 @@ SweepSummary SweepRunner::run() {
                  ? util::fmt(static_cast<double>(remaining) / rate, 0) + " s"
                  : "--"));
     };
-    // Work units: a unit is either one cell or a contiguous run of pending
-    // cells from the same repeat group, executed as one lane-batched
-    // evaluation (run_sweep_group). Repeat is the innermost expansion axis,
-    // so group membership is index / repeats. Cold-start lanes are
-    // bit-identical to per-cell execution, which keeps the aggregate CSV
-    // independent of the batching mode; warm-start sweeps chain solves
-    // differently per lane and nf-only sweeps have no inference pass, so
-    // both fall back to singleton units. Units (not cells) are dealt
-    // round-robin — with batching off every unit is one cell and the
-    // assignment reduces to the historical cell deal.
-    const bool batch_groups = opts_.repeat_batch && !spec_.nf_only &&
-                              !spec_.warm_start_solves && spec_.repeats > 1;
+    // Work units: a contiguous run of pending cells from the same repeat
+    // group, executed as one run_sweep_group call. Repeat is the innermost
+    // expansion axis, so group membership is index / repeats. Cold-start
+    // lanes are bit-identical to one-cell units, which keeps the aggregate
+    // CSV independent of how cells are grouped (supervisor workers run
+    // one-cell units); warm-start sweeps chain solves differently per lane
+    // and nf-only sweeps have no inference pass to share, so both deal
+    // one-cell units. Units (not cells) are dealt round-robin.
+    const bool batch_groups = !spec_.nf_only && !spec_.warm_start_solves &&
+                              spec_.repeats > 1;
     struct Unit {
         std::size_t begin = 0;  // index into `pending`
         std::size_t count = 0;
@@ -456,7 +384,6 @@ SweepSummary SweepRunner::run() {
         units.push_back(Unit{p, q - p});
         p = q;
     }
-    // Shared per-cell bookkeeping, identical on both execution paths.
     const auto record_one = [&](std::size_t p, CellResult&& result) {
         const SweepCell& cell = cells[pending[p]];
         executed[p] = std::move(result);
@@ -482,12 +409,6 @@ SweepSummary SweepRunner::run() {
                 try {
                     for (std::size_t u = s; u < units.size(); u += nshards) {
                         const Unit unit = units[u];
-                        if (unit.count == 1) {
-                            record_one(unit.begin,
-                                       run_sweep_cell(ctx_, spec_,
-                                                      cells[pending[unit.begin]]));
-                            continue;
-                        }
                         std::vector<const SweepCell*> group(unit.count);
                         for (std::size_t i = 0; i < unit.count; ++i)
                             group[i] = &cells[pending[unit.begin + i]];

@@ -71,7 +71,7 @@ int worker_main(core::ExperimentContext& ctx, const SweepSpec& spec,
             // exercised by real SIGKILLs and real silence, not mocks.
             util::fault::execute(util::fault::at("cell", index, attempt),
                                  "cell", index);
-            CellResult r = run_sweep_cell(ctx, spec, cell);
+            CellResult r = std::move(run_sweep_group(ctx, spec, {&cell})[0]);
             r.attempts = attempt + 1;
             if (!wire::write_message(out_fd, wire::MsgType::kAck,
                                      encode_manifest_line(cell.id(), r)))

@@ -9,11 +9,11 @@
 // blew the watchdog deadline, retries with exponential backoff, and
 // quarantines poison cells after the retry budget instead of aborting.
 //
-// Determinism: workers execute the exact run_sweep_cell() the in-process
-// SweepRunner uses, with per-cell seeds derived from the cell identity, so
-// the aggregate CSV is byte-identical at any worker count, across kills,
-// retries, and resumes — and identical to a single-process run of the same
-// spec (minus quarantined cells' groups).
+// Determinism: workers execute the same run_sweep_group() the in-process
+// SweepRunner uses, one cell per deal, with per-cell seeds derived from the
+// cell identity, so the aggregate CSV is byte-identical at any worker
+// count, across kills, retries, and resumes — and identical to a
+// single-process run of the same spec (minus quarantined cells' groups).
 //
 // Worker processes are the *same binary* re-exec'd with --worker
 // --wire-in=<fd> --wire-out=<fd> (fork alone is unsafe under the process

@@ -2,10 +2,11 @@
 //
 // Device-agnostic regime following the authors' companion papers
 // (RxNN, NEAT, SwitchX): R_MIN = 20 kΩ, R_MAX = 200 kΩ (ON/OFF = 10),
-// Rdriver = 100 Ω, Rwire_row = 2.5 Ω/segment, Rwire_col = 2.5 Ω/segment,
-// Rsense = 100 Ω, Gaussian conductance variation. The interconnect values
-// are calibrated so the layer-average NF lands in the regime the paper
-// reports (accuracy losses of ~5 % at 16×16 growing to tens of % at 64×64).
+// Rdriver = 27 Ω, Rwire_row = 0.9 Ω/segment, Rwire_col = 0.9 Ω/segment,
+// Rsense = 27 Ω, Gaussian conductance variation (the defaults below). The
+// interconnect values are calibrated so the layer-average NF lands in the
+// regime the paper reports (accuracy losses of ~5 % at 16×16 growing to
+// tens of % at 64×64).
 #pragma once
 
 #include <cstdint>

@@ -1,15 +1,19 @@
 // Equivalence pin for the lane-batched repeat evaluator (DESIGN.md §12):
-// with cold-start solves, evaluate_on_crossbars must produce bit-identical
-// results with repeat_batch on and off, for any repeat count and backend.
-// This is what lets sweeps switch to batched execution without changing a
-// single CSV byte.
+// with cold-start solves, evaluate_on_crossbars must be bit-identical to a
+// reference repeat loop built from the public API — per repeat,
+// degrade_model_matrices → InferenceEngine::refresh → nn::evaluate — for
+// any repeat count and backend. This is what lets sweeps group a grid
+// point's repeats without changing a single CSV byte.
 #include "core/evaluator.h"
+#include "map/matrix_view.h"
+#include "nn/infer.h"
 #include "nn/trainer.h"
 #include "nn/vgg.h"
 #include "tensor/ops.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 namespace xs::core {
@@ -63,6 +67,49 @@ void expect_identical(const EvalResult& a, const EvalResult& b,
     }
 }
 
+// The reference repeat loop: repeat r degrades every mappable layer at seed
+// config.seed + r·7919, an engine evaluates the degraded matrices as refresh
+// overrides, and NF, tiles, and accuracy average over repeats in order.
+EvalResult reference_evaluate(nn::Sequential& model, const nn::Dataset& test,
+                              const EvalConfig& config) {
+    nn::InferenceEngine engine(model);
+    const std::vector<nn::Layer*> layers = map::mappable_layers(model);
+    const std::int64_t repeats = std::max<std::int64_t>(config.repeats, 1);
+    EvalResult aggregate;
+    for (std::int64_t r = 0; r < repeats; ++r) {
+        EvalConfig repeat_config = config;
+        repeat_config.seed = config.seed + static_cast<std::uint64_t>(r) * 7919;
+        EvalResult one;
+        const std::map<std::string, Tensor> degraded =
+            degrade_model_matrices(model, repeat_config, &one.layers);
+        std::vector<const Tensor*> overrides;
+        for (nn::Layer* layer : layers)
+            overrides.push_back(&degraded.at(layer->name()));
+        engine.refresh(overrides);
+        one.accuracy = nn::evaluate(engine, test);
+
+        double nf_sum = 0.0;
+        std::int64_t nf_tiles = 0;
+        for (const LayerEvalStats& ls : one.layers) {
+            nf_sum += ls.nf_mean * static_cast<double>(ls.tiles);
+            nf_tiles += ls.tiles;
+            one.total_tiles += ls.tiles;
+            one.unconverged_tiles += ls.unconverged;
+        }
+        one.nf_mean = nf_tiles ? nf_sum / static_cast<double>(nf_tiles) : 0.0;
+        if (r == 0) {
+            aggregate = std::move(one);
+        } else {
+            aggregate.accuracy += one.accuracy;
+            aggregate.nf_mean += one.nf_mean;
+            aggregate.unconverged_tiles += one.unconverged_tiles;
+        }
+    }
+    aggregate.accuracy /= static_cast<double>(repeats);
+    aggregate.nf_mean /= static_cast<double>(repeats);
+    return aggregate;
+}
+
 EvalConfig cold_config(xbar::BackendKind backend) {
     EvalConfig config;
     config.xbar.size = 32;
@@ -72,7 +119,7 @@ EvalConfig cold_config(xbar::BackendKind backend) {
     return config;
 }
 
-TEST(RepeatBatch, ColdMatchesSequentialBitExactAcrossRepeatCounts) {
+TEST(RepeatBatch, ColdMatchesReferenceBitExactAcrossRepeatCounts) {
     nn::Sequential model = tiny_vgg(12);
     const nn::Dataset test = tiny_dataset(15);
     // 1 = scalar-solver lane fallback, 3 = one partial group, 8 = two full
@@ -81,49 +128,41 @@ TEST(RepeatBatch, ColdMatchesSequentialBitExactAcrossRepeatCounts) {
     for (const std::int64_t repeats : {1, 3, 8}) {
         EvalConfig config = cold_config(xbar::BackendKind::kCircuit);
         config.repeats = repeats;
-        config.repeat_batch = true;
         const EvalResult batched = evaluate_on_crossbars(model, test, config);
-        config.repeat_batch = false;
-        const EvalResult sequential =
-            evaluate_on_crossbars(model, test, config);
-        expect_identical(batched, sequential,
+        const EvalResult reference = reference_evaluate(model, test, config);
+        expect_identical(batched, reference,
                          "repeats=" + std::to_string(repeats));
         EXPECT_GT(batched.nf_mean, 0.0);
     }
 }
 
-TEST(RepeatBatch, ColdMatchesSequentialOnEveryBackend) {
+TEST(RepeatBatch, ColdMatchesReferenceOnEveryBackend) {
     nn::Sequential model = tiny_vgg(12);
     const nn::Dataset test = tiny_dataset(15);
     for (const xbar::BackendKind backend :
          {xbar::BackendKind::kFast, xbar::BackendKind::kIdeal}) {
         EvalConfig config = cold_config(backend);
         config.repeats = 3;
-        config.repeat_batch = true;
         const EvalResult batched = evaluate_on_crossbars(model, test, config);
-        config.repeat_batch = false;
-        const EvalResult sequential =
-            evaluate_on_crossbars(model, test, config);
-        expect_identical(batched, sequential,
+        const EvalResult reference = reference_evaluate(model, test, config);
+        expect_identical(batched, reference,
                          std::string("backend=") + xbar::backend_name(backend));
     }
 }
 
-TEST(RepeatBatch, WarmSingleRepeatMatchesSequential) {
+TEST(RepeatBatch, WarmSingleRepeatMatchesReference) {
     // With one repeat there is no cross-repeat warm chaining to differ on:
     // the batched path's lane-0 warm chain visits tiles in the same worker
-    // partition order as the sequential path, so even warm-started solves
-    // are bit-identical.
+    // partition order as degrade_model_matrices, so even warm-started
+    // solves are bit-identical.
     nn::Sequential model = tiny_vgg(12);
     const nn::Dataset test = tiny_dataset(15);
     EvalConfig config = cold_config(xbar::BackendKind::kCircuit);
     config.warm_start_solves = true;
     config.repeats = 1;
-    config.repeat_batch = true;
     const EvalResult batched = evaluate_on_crossbars(model, test, config);
-    config.repeat_batch = false;
-    const EvalResult sequential = evaluate_on_crossbars(model, test, config);
-    expect_identical(batched, sequential, "warm repeats=1");
+    const EvalResult reference = reference_evaluate(model, test, config);
+    expect_identical(batched, reference, "warm repeats=1");
 }
 
 TEST(RepeatBatch, PerRepeatResultsMatchSingleSeedRuns) {

@@ -206,8 +206,9 @@ TEST(InferenceEngine, MacOverridesMatchInjectedWeights) {
 }
 
 // Lane r of forward_batched must be bit-identical to refresh()ing the
-// engine with lane r's MAC overrides and running a scalar forward — the
-// contract the repeat-batched evaluator relies on for byte-identical CSVs.
+// engine with lane r's MAC overrides and running a one-lane forward — the
+// contract that keeps a grid point's CSV bytes independent of how many
+// repeats share a pass.
 TEST(InferenceEngine, BatchedForwardMatchesScalarPerInstanceBitExact) {
     util::Rng rng(7);
     Sequential model = small_model(rng);

@@ -10,6 +10,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <vector>
 
@@ -154,16 +155,30 @@ TEST(SweepRunner, AggregateCsvInvariantToShardCount) {
     }
 }
 
+// Runs every cell of `spec` as its own one-cell unit — what supervisor and
+// service workers do — and writes their aggregate CSV as `csv_name`.
+std::map<std::string, CellResult> run_one_cell_units(
+    const SweepSpec& spec, const std::string& csv_name) {
+    const std::vector<SweepCell> cells = spec.expand();
+    std::map<std::string, CellResult> results;
+    for (const SweepCell& cell : cells)
+        results[cell.id()] = run_sweep_group(ctx(), spec, {&cell})[0];
+    SweepSummary summary;
+    summary.csv_path = ctx().csv_path(csv_name);
+    aggregate_and_write_csv(cells, spec, results, summary);
+    return results;
+}
+
 TEST(SweepRunner, AggregateCsvInvariantToRepeatBatching) {
-    // The lane-batched group path (the default; repeats of a grid point share
-    // one compiled-instance set and one batched inference pass) must produce
-    // the same aggregate CSV, byte for byte, as the legacy
-    // one-evaluation-per-cell path — per-repeat FNV seeding plus cold-start
-    // solves make every batched lane bit-identical to its sequential cell.
-    // The manifest records must agree too, field by field, bit for bit
+    // Three ways of running the same cells must agree byte for byte: one-
+    // cell units, the runner's whole-group units (repeats of a grid point
+    // share one compiled-instance set and one batched inference pass), and
+    // a partially-resumed group. Per-repeat FNV seeding plus cold-start
+    // solves make every batched lane bit-identical to its one-cell unit.
+    // The per-cell results must agree too, field by field, bit for bit
     // (everything except the wall-clock timing). Repeat counts: 1 hits the
-    // scalar-lane fallback, 3 a partial group, 8 two full groups through the
-    // evaluator's producer/consumer pipeline.
+    // scalar-lane fallback, 3 a partial group, 8 two full groups through
+    // the evaluator's producer/consumer pipeline.
     for (const std::int64_t repeats : {1, 3, 8}) {
         SCOPED_TRACE("repeats=" + std::to_string(repeats));
         const std::string tag = "rb" + std::to_string(repeats);
@@ -171,41 +186,36 @@ TEST(SweepRunner, AggregateCsvInvariantToRepeatBatching) {
         spec.prunes = {{prune::Method::kNone, 0.0}};
         spec.repeats = repeats;
 
-        SweepOptions off;
-        off.repeat_batch = false;
-        off.csv_name = tag + "_off.csv";
-        off.manifest_name = tag + "_off.jsonl";
-        const SweepSummary legacy = SweepRunner(ctx(), spec, off).run();
-        EXPECT_EQ(legacy.cells_executed, repeats);
-        const std::string expected = slurp(legacy.csv_path);
+        const std::map<std::string, CellResult> single =
+            run_one_cell_units(spec, tag + "_single.csv");
+        const std::string expected = slurp(ctx().csv_path(tag + "_single.csv"));
         ASSERT_FALSE(expected.empty());
 
-        SweepOptions on;
-        on.csv_name = tag + "_on.csv";
-        on.manifest_name = tag + "_on.jsonl";
-        const SweepSummary batched = SweepRunner(ctx(), spec, on).run();
+        SweepOptions grouped;
+        grouped.csv_name = tag + "_group.csv";
+        grouped.manifest_name = tag + "_group.jsonl";
+        const SweepSummary batched = SweepRunner(ctx(), spec, grouped).run();
         EXPECT_EQ(batched.cells_executed, repeats);
         EXPECT_EQ(slurp(batched.csv_path), expected);
 
-        const auto seq_man = load_manifest(legacy.manifest_path);
         const auto bat_man = load_manifest(batched.manifest_path);
-        ASSERT_EQ(seq_man.size(), static_cast<std::size_t>(repeats));
-        ASSERT_EQ(bat_man.size(), seq_man.size());
-        for (const auto& [id, seq] : seq_man) {
+        ASSERT_EQ(single.size(), static_cast<std::size_t>(repeats));
+        ASSERT_EQ(bat_man.size(), single.size());
+        for (const auto& [id, one] : single) {
             SCOPED_TRACE(id);
             const auto it = bat_man.find(id);
             ASSERT_NE(it, bat_man.end());
             const CellResult& bat = it->second;
-            EXPECT_EQ(bat.backend, seq.backend);
-            EXPECT_EQ(bat.status, seq.status);
-            EXPECT_EQ(bat.tiles, seq.tiles);
-            EXPECT_EQ(bat.solver_failures, seq.solver_failures);
+            EXPECT_EQ(bat.backend, one.backend);
+            EXPECT_EQ(bat.status, one.status);
+            EXPECT_EQ(bat.tiles, one.tiles);
+            EXPECT_EQ(bat.solver_failures, one.solver_failures);
             // Doubles round-trip the manifest at 17 significant digits, so
             // equality here is bit equality of the recorded values.
-            EXPECT_EQ(bat.accuracy, seq.accuracy);
-            EXPECT_EQ(bat.nf_mean, seq.nf_mean);
-            EXPECT_EQ(bat.energy_pj, seq.energy_pj);
-            EXPECT_EQ(bat.software_acc, seq.software_acc);
+            EXPECT_EQ(bat.accuracy, one.accuracy);
+            EXPECT_EQ(bat.nf_mean, one.nf_mean);
+            EXPECT_EQ(bat.energy_pj, one.energy_pj);
+            EXPECT_EQ(bat.software_acc, one.software_acc);
         }
     }
 
@@ -214,11 +224,9 @@ TEST(SweepRunner, AggregateCsvInvariantToRepeatBatching) {
     SweepSpec spec = tiny_spec();
     spec.prunes = {{prune::Method::kNone, 0.0}};
     spec.repeats = 3;
-    SweepOptions off;
-    off.repeat_batch = false;
-    off.csv_name = "rb_resume_ref.csv";
-    off.manifest_name = "rb_resume_ref.jsonl";
-    const std::string expected = slurp(SweepRunner(ctx(), spec, off).run().csv_path);
+    run_one_cell_units(spec, "rb_resume_ref.csv");
+    const std::string expected = slurp(ctx().csv_path("rb_resume_ref.csv"));
+    ASSERT_FALSE(expected.empty());
     SweepOptions resume;
     resume.csv_name = "rb_resume.csv";
     resume.manifest_name = "rb_resume.jsonl";
