@@ -48,7 +48,9 @@ run_release() {
 # an injected worker crash (XS_FAULT) must respawn,
 # re-deal, and reproduce the single-process CSV byte for byte — the
 # supervisor's core invariant, checked end to end — while still emitting a
-# merged, validatable metrics snapshot.
+# merged, validatable metrics snapshot. A last supervised run with a hung
+# cell and --cell-budget-abort must exit nonzero, and its fault-free
+# --resume must reproduce the same CSV.
 run_sweep_smoke() {
   if [[ ! -x "$repo_root/build-release/sweep_runner" ]]; then
     return 0
@@ -108,6 +110,25 @@ run_sweep_smoke() {
     # No --clean: the injected crash loses that worker's executed-count.
     python3 "$repo_root/bench/check_metrics.py" \
       "$smoke_dir/metrics_supervised.json"
+  fi
+  echo "=== supervised budget-abort smoke (hung cell, then resume) ==="
+  # --cell-budget-abort applies under --workers too: the watchdog kill of
+  # the hung cell is a budget overrun, so the run must fail — but only after
+  # every dispatched cell is in the manifest, so a fault-free --resume
+  # executes nothing and reproduces the single-process CSV byte for byte.
+  if XS_FAULT="hang@cell:1" "$repo_root/build-release/sweep_runner" \
+      "${smoke_flags[@]}" --workers=1 --cell-budget-ms=5000 \
+      --cell-budget-abort --csv=sweep_abort.csv --manifest=sweep_abort.jsonl
+  then
+    echo "sweep smoke: --cell-budget-abort under --workers exited 0" >&2
+    return 1
+  fi
+  "$repo_root/build-release/sweep_runner" "${smoke_flags[@]}" --workers=1 \
+    --resume --csv=sweep_abort.csv --manifest=sweep_abort.jsonl
+  if ! cmp "$smoke_dir/sweep.csv" "$smoke_dir/sweep_abort.csv"; then
+    echo "sweep smoke: resumed budget-abort CSV differs from the" \
+      "single-process run" >&2
+    return 1
   fi
 }
 

@@ -21,9 +21,12 @@
 // CSV is byte-identical to a single-process run. --worker / --wire-* are
 // the internal child-process entry, never passed by hand.
 //
-// Without --workers, --cell-budget-ms=N warns on cells slower than N ms
-// (and fails the sweep with --cell-budget-abort); every cell's wall time
-// lands in the manifest either way.
+// --cell-budget-ms=N warns on cells slower than N ms (under --workers it
+// is also the watchdog deadline, and a watchdog kill counts as an overrun);
+// --cell-budget-abort then fails the sweep with a nonzero exit, with or
+// without --workers, after every dispatched cell is in the manifest, so
+// --resume loses nothing. Every cell's wall time lands in the manifest
+// either way.
 //
 // --agent=host:port joins a sweep_serve coordinator instead of running a
 // sweep of its own (DESIGN.md §11): the spec/experiment flags must match
@@ -52,6 +55,7 @@
 #include "util/trace.h"
 
 #include <cstdio>
+#include <exception>
 #include <string>
 #include <unistd.h>
 
@@ -113,17 +117,22 @@ int main(int argc, char** argv) {
     std::printf("sweep: %s\n", spec.describe().c_str());
     sweep::SweepSummary summary;
     const std::int64_t workers = flags.get_int("workers", 0);
-    if (workers > 0) {
-        sweep::SupervisorOptions sup;
-        sup.workers = workers;
-        sup.worker_cmd = sweep::worker_command_from_argv(argc, argv);
-        sup.max_cell_retries = flags.get_int("cell-retries", 2);
-        sup.retry_backoff_ms = flags.get_double("retry-backoff-ms", 250.0);
-        sup.max_worker_restarts = flags.get_int("worker-restarts", 4);
-        summary = sweep::run_supervised(ctx, spec, opts, sup);
-    } else {
-        sweep::SweepRunner runner(ctx, spec, opts);
-        summary = runner.run();
+    try {
+        if (workers > 0) {
+            sweep::SupervisorOptions sup;
+            sup.workers = workers;
+            sup.worker_cmd = sweep::worker_command_from_argv(argc, argv);
+            sup.max_cell_retries = flags.get_int("cell-retries", 2);
+            sup.retry_backoff_ms = flags.get_double("retry-backoff-ms", 250.0);
+            sup.max_worker_restarts = flags.get_int("worker-restarts", 4);
+            summary = sweep::run_supervised(ctx, spec, opts, sup);
+        } else {
+            sweep::SweepRunner runner(ctx, spec, opts);
+            summary = runner.run();
+        }
+    } catch (const std::exception& e) {
+        util::log_error(e.what());
+        return 1;
     }
 
     std::printf("\n%s\n", sweep::accuracy_vs_size_table(summary).c_str());
@@ -139,10 +148,7 @@ int main(int argc, char** argv) {
                     static_cast<long long>(summary.watchdog_kills),
                     static_cast<long long>(summary.cell_retries),
                     summary.cell_retries == 1 ? "y" : "ies");
-    if (workers > 0 && opts.cell_budget_ms > 0.0)
-        std::printf("cells over %.0f ms budget: %lld\n", opts.cell_budget_ms,
-                    static_cast<long long>(summary.cells_over_budget));
-    else if (opts.cell_budget_ms > 0.0)
+    if (opts.cell_budget_ms > 0.0)
         std::printf("cells over %.0f ms budget: %lld\n", opts.cell_budget_ms,
                     static_cast<long long>(summary.cells_over_budget));
     if (summary.cells_failed > 0) {

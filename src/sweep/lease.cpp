@@ -1,9 +1,23 @@
 #include "sweep/lease.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 
 namespace xs::sweep {
+
+double now_ms() {
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now().time_since_epoch())
+        .count();
+}
+
+LeaseScheduler::LeaseScheduler(const std::vector<std::size_t>& cells,
+                               std::int64_t max_retries, double backoff_ms)
+    : cells_(cells.size()), max_retries_(max_retries), backoff_ms_(backoff_ms) {
+    for (std::size_t p = 0; p < cells.size(); ++p)
+        cells_[p].cell_index = cells[p];
+}
 
 std::size_t LeaseScheduler::in_flight_count() const {
     std::size_t n = 0;
@@ -30,14 +44,6 @@ void LeaseScheduler::deal(std::size_t p, double now, double lease_ms,
     e.deadline = lease_ms > 0.0 ? now + lease_ms : 0.0;
 }
 
-void LeaseScheduler::undeal(std::size_t p) {
-    Entry& e = cells_[p];
-    --e.attempts;
-    e.in_flight = false;
-    e.owner = -1;
-    e.deadline = 0.0;
-}
-
 void LeaseScheduler::ack(std::size_t p) {
     Entry& e = cells_[p];
     e.in_flight = false;
@@ -61,7 +67,6 @@ LeaseScheduler::FailOutcome LeaseScheduler::fail(std::size_t p, double now) {
     }
     e.eligible_at =
         now + backoff_ms_ * std::pow(2.0, static_cast<double>(e.attempts - 1));
-    ++retries_;
     return FailOutcome::kRetry;
 }
 

@@ -2,13 +2,15 @@
 // (sweep/supervisor.h) and the multi-host service (sweep/service.h) —
 // DESIGN.md §9/§11.
 //
-// Both coordinators solve the same problem: a set of undone cells must each
+// Both executors solve the same problem: a set of undone cells must each
 // be dealt to exactly one executor at a time, re-dealt with exponential
 // backoff when the attempt fails (executor death, hang, thrown error, lease
 // expiry), and quarantined after the retry budget. The only difference is
 // what an "executor" is (a forked worker process vs a remote agent host),
-// so that stays an opaque owner token here and the two coordinators map it
-// back to their own structures.
+// so that stays an opaque owner token here; each transport loop maps it
+// back to its own structures and hands failed attempts to the one
+// SweepCoordinator::attempt_failed (sweep/coordinator.h), which logs the
+// retry or records the quarantine.
 //
 // A *lease* is a deal with a deadline: the coordinator derives it from the
 // per-cell wall-time budget, and a cell still in flight past its deadline
@@ -25,6 +27,10 @@
 
 namespace xs::sweep {
 
+// Steady-clock milliseconds: the clock every lease time, backoff gate and
+// watchdog deadline in the sweep executors is measured in.
+double now_ms();
+
 class LeaseScheduler {
 public:
     struct Entry {
@@ -37,17 +43,13 @@ public:
         bool done = false;  // acknowledged ok or quarantined
     };
 
-    // `max_retries` re-deals after the first attempt (total attempts =
-    // max_retries + 1); first re-deal backs off `backoff_ms`, doubling per
-    // attempt.
-    LeaseScheduler(std::int64_t max_retries, double backoff_ms)
-        : max_retries_(max_retries), backoff_ms_(backoff_ms) {}
-
-    void add(std::size_t cell_index) {
-        Entry e;
-        e.cell_index = cell_index;
-        cells_.push_back(e);
-    }
+    // One entry per grid index in `cells`, in order (executors pass
+    // SweepCoordinator::pending(), so an entry's position is its position
+    // there). `max_retries` re-deals after the first attempt (total
+    // attempts = max_retries + 1); first re-deal backs off `backoff_ms`,
+    // doubling per attempt.
+    LeaseScheduler(const std::vector<std::size_t>& cells,
+                   std::int64_t max_retries, double backoff_ms);
 
     std::size_t size() const { return cells_.size(); }
     bool all_done() const { return done_count_ == cells_.size(); }
@@ -59,13 +61,9 @@ public:
     // backoff has expired; -1 when nothing is eligible right now.
     std::int64_t next_eligible(double now) const;
 
-    // Lease cell p to `owner`: consumes an attempt, arms the deadline
-    // (now + lease_ms; 0 disables).
+    // Lease cell p to `owner` once the deal reached it: consumes an
+    // attempt, arms the deadline (now + lease_ms; 0 disables).
     void deal(std::size_t p, double now, double lease_ms, std::int64_t owner);
-
-    // The deal never reached an executor (e.g. the write raced its death):
-    // roll the attempt back so the retry is free.
-    void undeal(std::size_t p);
 
     // Cell p completed (its manifest append is durable).
     void ack(std::size_t p);
@@ -86,7 +84,6 @@ public:
     // lease deadline), clamped to [0, cap]; cap when nothing is pending.
     double next_event_ms(double now, double cap) const;
 
-    std::int64_t retries() const { return retries_; }
     std::int64_t attempts_of(std::size_t p) const {
         return cells_[p].attempts;
     }
@@ -96,7 +93,6 @@ private:
     std::int64_t max_retries_;
     double backoff_ms_;
     std::size_t done_count_ = 0;
-    std::int64_t retries_ = 0;  // re-deals scheduled by fail()
 };
 
 }  // namespace xs::sweep

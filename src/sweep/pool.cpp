@@ -1,8 +1,9 @@
 #include "sweep/pool.h"
 
+#include "sweep/lease.h"
 #include "util/log.h"
 
-#include <chrono>
+#include <algorithm>
 #include <cmath>
 #include <csignal>
 
@@ -14,12 +15,6 @@
 namespace xs::sweep {
 
 namespace {
-
-double now_ms() {
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
 
 void close_fd(int& fd) {
     if (fd >= 0) ::close(fd);
@@ -39,7 +34,10 @@ std::string describe_exit(int wstatus) {
 
 WorkerPool::WorkerPool(std::vector<std::string> cmd,
                        std::int64_t restart_budget)
-    : cmd_(std::move(cmd)), restarts_left_(restart_budget) {}
+    : cmd_(std::move(cmd)), restarts_left_(restart_budget) {
+    // A worker dying mid-deal surfaces as EPIPE on our write, not a signal.
+    ::signal(SIGPIPE, SIG_IGN);
+}
 
 WorkerPool::~WorkerPool() {
     for (PoolWorker& w : workers_) {
@@ -126,29 +124,110 @@ std::size_t WorkerPool::busy_count() const {
     return n;
 }
 
-void WorkerPool::kill(std::size_t i) {
-    if (workers_[i].alive) ::kill(workers_[i].pid, SIGKILL);
+std::int64_t WorkerPool::idle_worker() const {
+    for (std::size_t i = 0; i < workers_.size(); ++i) {
+        const PoolWorker& w = workers_[i];
+        if (w.alive && w.ready && w.dealt < 0)
+            return static_cast<std::int64_t>(i);
+    }
+    return -1;
 }
 
-std::string WorkerPool::reap_and_respawn(std::size_t i, bool& respawned) {
+bool WorkerPool::deal(std::size_t i, std::int64_t token,
+                      const std::string& payload, double lease_ms) {
     PoolWorker& w = workers_[i];
+    if (!wire::write_message(w.deal_fd, wire::MsgType::kDeal, payload)) {
+        PoolEvent ev = reap(i, /*sigkill=*/true);
+        ev.text = "rejected a deal (" + ev.text + ")";
+        queued_.push_back(std::move(ev));
+        return false;
+    }
+    w.dealt = token;
+    w.ready = false;
+    w.deadline = lease_ms > 0.0 ? now_ms() + lease_ms : 0.0;
+    return true;
+}
+
+void WorkerPool::add_poll_fds(std::vector<pollfd>& fds) const {
+    for (const PoolWorker& w : workers_)
+        if (w.alive) fds.push_back({w.ack_fd, POLLIN, 0});
+}
+
+double WorkerPool::next_deadline_ms(double now, double cap) const {
+    double timeout = cap;
+    for (const PoolWorker& w : workers_)
+        if (w.alive && w.dealt >= 0 && w.deadline > 0.0)
+            timeout = std::min(timeout, w.deadline - now);
+    return std::max(timeout, 0.0);
+}
+
+std::vector<PoolEvent> WorkerPool::pump() {
+    std::vector<PoolEvent> events = std::move(queued_);
+    queued_.clear();
+    for (std::size_t i = 0; i < workers_.size(); ++i) {
+        PoolWorker& w = workers_[i];
+        if (!w.alive) continue;
+        w.reader.fill();
+        wire::Message msg;
+        while (w.reader.pop(msg)) {
+            if (msg.type == wire::MsgType::kHello) {
+                w.ready = true;
+                continue;
+            }
+            if (msg.type != wire::MsgType::kAck &&
+                msg.type != wire::MsgType::kFail) {
+                util::log_warn("pool: unexpected message type " +
+                               std::to_string(static_cast<int>(msg.type)) +
+                               " from worker pid " + std::to_string(w.pid));
+                continue;
+            }
+            PoolEvent ev;
+            ev.kind = msg.type == wire::MsgType::kAck ? PoolEvent::Kind::kAck
+                                                      : PoolEvent::Kind::kFail;
+            ev.worker = i;
+            ev.token = w.dealt;
+            ev.text = std::move(msg.payload);
+            events.push_back(std::move(ev));
+            w.dealt = -1;  // a worker that failed a cell is itself fine
+            w.deadline = 0.0;
+            w.ready = true;
+        }
+        if (w.reader.finished()) events.push_back(reap(i, /*sigkill=*/false));
+    }
+    const double now = now_ms();
+    for (std::size_t i = 0; i < workers_.size(); ++i) {
+        const PoolWorker& w = workers_[i];
+        if (!w.alive || w.dealt < 0 || w.deadline <= 0.0 || now < w.deadline)
+            continue;
+        PoolEvent ev = reap(i, /*sigkill=*/true);
+        ev.watchdog = true;
+        events.push_back(std::move(ev));
+    }
+    return events;
+}
+
+PoolEvent WorkerPool::reap(std::size_t i, bool sigkill) {
+    PoolWorker& w = workers_[i];
+    PoolEvent ev;
+    ev.worker = i;
+    ev.token = w.dealt;
+    if (sigkill) ::kill(w.pid, SIGKILL);
     int wstatus = 0;
     ::waitpid(w.pid, &wstatus, 0);
-    const std::string detail = describe_exit(wstatus);
+    ev.text = describe_exit(wstatus);
     close_fd(w.deal_fd);
     close_fd(w.ack_fd);
     w.alive = false;
     w.dealt = -1;
     w.deadline = 0.0;
-    respawned = false;
     if (restarts_left_ > 0) {
         --restarts_left_;
         if (spawn_slot(w)) {
             ++restarts_;
-            respawned = true;
+            ev.respawned = true;
         }
     }
-    return detail;
+    return ev;
 }
 
 void WorkerPool::shutdown(double grace_ms, util::metrics::Snapshot* merged) {

@@ -1,6 +1,7 @@
 #include "sweep/runner.h"
 
 #include "map/energy.h"
+#include "sweep/coordinator.h"
 #include "util/csv.h"
 #include "util/log.h"
 #include "util/metrics.h"
@@ -8,7 +9,6 @@
 #include "util/trace.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -18,29 +18,20 @@
 
 namespace xs::sweep {
 
-namespace {
-
 using util::fmt_g;
 
-// The distinct models a set of cells resolves to, deduplicated by spec key
-// in first-use order — shared by the runner's prepare phase and the
-// --dry-run preview so the preview can never diverge from what actually
-// trains.
 std::vector<core::ModelSpec> distinct_model_specs(
-    const core::ExperimentContext& ctx,
-    const std::vector<const SweepCell*>& cells) {
+    const core::ExperimentContext& ctx, const std::vector<SweepCell>& cells) {
     std::set<std::string> seen;
     std::vector<core::ModelSpec> specs;
-    for (const SweepCell* c : cells) {
-        core::ModelSpec ms = ctx.spec(c->variant, c->num_classes,
-                                      c->prune.method, c->prune.sparsity,
-                                      c->mitigation.wct);
+    for (const SweepCell& c : cells) {
+        core::ModelSpec ms = ctx.spec(c.variant, c.num_classes,
+                                      c.prune.method, c.prune.sparsity,
+                                      c.mitigation.wct);
         if (seen.insert(ms.key()).second) specs.push_back(std::move(ms));
     }
     return specs;
 }
-
-}  // namespace
 
 // The one sweep work unit: ≥1 cells of one grid point (they share every
 // axis except the repeat index), so one EvalConfig, built from the head
@@ -147,25 +138,6 @@ std::string sweep_config_fingerprint(const core::ExperimentContext& ctx,
            (spec.nf_only ? "/nf" : "") + "/rng-zig128";
 }
 
-std::map<std::string, CellResult> load_resume_state(
-    const std::string& manifest_path, const std::string& config_fp,
-    SweepSummary& summary, bool& had_config) {
-    ManifestLoad load = load_manifest_file(manifest_path);
-    summary.manifest_lines_skipped = load.skipped_lines;
-    if (load.skipped_lines > 0)
-        util::log_warn("sweep: manifest '" + manifest_path + "' has " +
-                       std::to_string(load.skipped_lines) +
-                       " corrupt line(s); the affected cells will re-run");
-    tensor::check(load.config.empty() || load.config == config_fp,
-                  "sweep: manifest '" + manifest_path +
-                      "' was recorded under a different configuration (" +
-                      load.config + " vs " + config_fp +
-                      "); rerun without --resume or delete it");
-    had_config = !load.config.empty();
-    summary.metrics_json = load.metrics_json;
-    return std::move(load.results);
-}
-
 void merge_prior_metrics(const std::string& prior_json,
                          util::metrics::Snapshot& snap) {
     if (prior_json.empty()) return;
@@ -267,94 +239,14 @@ SweepRunner::SweepRunner(core::ExperimentContext& ctx, SweepSpec spec,
     : ctx_(ctx), spec_(std::move(spec)), opts_(std::move(opts)) {}
 
 SweepSummary SweepRunner::run() {
-    const std::vector<SweepCell> cells = spec_.expand();
-    SweepSummary summary;
-    summary.cells_total = static_cast<std::int64_t>(cells.size());
-    summary.manifest_path = ctx_.csv_path(opts_.manifest_name);
-    summary.csv_path = ctx_.csv_path(opts_.csv_name);
-
-    const std::string config_fp = sweep_config_fingerprint(ctx_, spec_);
-    std::map<std::string, CellResult> results;
-    bool had_config = false;
-    if (opts_.resume)
-        results = load_resume_state(summary.manifest_path, config_fp, summary,
-                                    had_config);
-    const std::string prior_metrics = summary.metrics_json;
-    ManifestWriter manifest(summary.manifest_path, opts_.resume);
-    tensor::check(manifest.ok(), "sweep: cannot open manifest '" +
-                                     summary.manifest_path + "' for writing");
-    if (!had_config) manifest.record_config(config_fp);
-
-    // Quarantined cells carried in from the resumed manifest, for the
-    // progress heartbeat (the in-process runner never quarantines itself).
-    std::int64_t failed_seen = 0;
-    for (const auto& kv : results)
-        if (kv.second.failed()) ++failed_seen;
-
-    // Pending cells in expansion order (resume skips recorded ones — both
-    // finished and quarantined; delete the manifest to retry a quarantine).
-    std::vector<std::size_t> pending;
-    for (std::size_t i = 0; i < cells.size(); ++i)
-        if (results.find(cells[i].id()) == results.end()) pending.push_back(i);
-    summary.cells_resumed =
-        summary.cells_total - static_cast<std::int64_t>(pending.size());
-    if (opts_.max_cells >= 0 &&
-        pending.size() > static_cast<std::size_t>(opts_.max_cells))
-        pending.resize(static_cast<std::size_t>(opts_.max_cells));
-    summary.cells_pending = summary.cells_total - summary.cells_resumed -
-                            static_cast<std::int64_t>(pending.size());
-
+    SweepCoordinator coord(ctx_, spec_, opts_);
+    const std::vector<SweepCell>& cells = coord.cells();
+    const std::vector<std::size_t>& pending = coord.pending();
     // Prepare every distinct model before sharding: training parallelizes
     // across the whole pool here, no shard ever stalls on another shard's
     // training, and a grid never retrains a shared model twice.
-    {
-        std::vector<const SweepCell*> pending_cells;
-        pending_cells.reserve(pending.size());
-        for (const std::size_t i : pending) pending_cells.push_back(&cells[i]);
-        for (const core::ModelSpec& ms : distinct_model_specs(ctx_, pending_cells))
-            ctx_.prepared(ms);
-    }
+    coord.prepare_models();
 
-    // Shard phase: shard s owns work units s, s+shards, s+2·shards, … — an
-    // assignment that depends only on expansion order. Exceptions are
-    // collected per shard and rethrown after the dispatch (an exception
-    // escaping into the pool would terminate the process).
-    const std::size_t nshards =
-        opts_.shards > 0 ? static_cast<std::size_t>(opts_.shards)
-                         : util::worker_count();
-    std::vector<CellResult> executed(pending.size());
-    std::vector<std::exception_ptr> errors(nshards);
-    std::atomic<std::int64_t> completed{0};
-    std::atomic<std::int64_t> over_budget{0};
-    // Heartbeat state: checked after every completed cell, emitted by
-    // whichever shard wins the CAS once the interval elapses.
-    const util::Stopwatch run_clock;
-    std::atomic<std::int64_t> last_beat_ms{0};
-    const std::int64_t beat_interval_ms =
-        static_cast<std::int64_t>(opts_.progress_sec * 1000.0);
-    const auto maybe_heartbeat = [&](std::int64_t done) {
-        if (beat_interval_ms <= 0) return;
-        const auto now_ms =
-            static_cast<std::int64_t>(run_clock.seconds() * 1000.0);
-        std::int64_t prev = last_beat_ms.load(std::memory_order_relaxed);
-        if (now_ms - prev < beat_interval_ms ||
-            !last_beat_ms.compare_exchange_strong(prev, now_ms))
-            return;
-        const double rate =
-            now_ms > 0 ? static_cast<double>(done) * 1000.0 /
-                             static_cast<double>(now_ms)
-                       : 0.0;
-        const std::int64_t remaining =
-            static_cast<std::int64_t>(pending.size()) - done;
-        util::log_info(
-            "progress: " + std::to_string(done) + "/" +
-            std::to_string(pending.size()) + " cells (" +
-            std::to_string(failed_seen) + " failed), " +
-            util::fmt(rate, 2) + " cells/s, eta " +
-            (rate > 0.0
-                 ? util::fmt(static_cast<double>(remaining) / rate, 0) + " s"
-                 : "--"));
-    };
     // Work units: a contiguous run of pending cells from the same repeat
     // group, executed as one run_sweep_group call. Repeat is the innermost
     // expansion axis, so group membership is index / repeats. Cold-start
@@ -362,7 +254,7 @@ SweepSummary SweepRunner::run() {
     // CSV independent of how cells are grouped (supervisor workers run
     // one-cell units); warm-start sweeps chain solves differently per lane
     // and nf-only sweeps have no inference pass to share, so both deal
-    // one-cell units. Units (not cells) are dealt round-robin.
+    // one-cell units.
     const bool batch_groups = !spec_.nf_only && !spec_.warm_start_solves &&
                               spec_.repeats > 1;
     struct Unit {
@@ -384,25 +276,15 @@ SweepSummary SweepRunner::run() {
         units.push_back(Unit{p, q - p});
         p = q;
     }
-    const auto record_one = [&](std::size_t p, CellResult&& result) {
-        const SweepCell& cell = cells[pending[p]];
-        executed[p] = std::move(result);
-        manifest.record(cell.id(), executed[p]);
-        XS_COUNT("sweep.cells.done", 1);
-        const std::int64_t n = ++completed;
-        maybe_heartbeat(n);
-        util::log_info("sweep cell " + std::to_string(n) + "/" +
-                       std::to_string(pending.size()) + " " + cell.id() +
-                       ": acc " + util::fmt(executed[p].accuracy) + "% (" +
-                       util::fmt(executed[p].wall_ms, 0) + " ms)");
-        if (opts_.cell_budget_ms > 0.0 &&
-            executed[p].wall_ms > opts_.cell_budget_ms) {
-            ++over_budget;
-            util::log_warn("sweep cell " + cell.id() + " over budget: " +
-                           util::fmt(executed[p].wall_ms, 0) + " ms > " +
-                           util::fmt(opts_.cell_budget_ms, 0) + " ms");
-        }
-    };
+
+    // Shard phase: shard s owns work units s, s+shards, s+2·shards, … — an
+    // assignment that depends only on expansion order. Exceptions are
+    // collected per shard and rethrown after the dispatch (an exception
+    // escaping into the pool would terminate the process).
+    const std::size_t nshards =
+        opts_.shards > 0 ? static_cast<std::size_t>(opts_.shards)
+                         : util::worker_count();
+    std::vector<std::exception_ptr> errors(nshards);
     util::parallel_for_workers(
         0, nshards, [&](std::size_t, std::size_t lo, std::size_t hi) {
             for (std::size_t s = lo; s < hi; ++s) {
@@ -412,11 +294,11 @@ SweepSummary SweepRunner::run() {
                         std::vector<const SweepCell*> group(unit.count);
                         for (std::size_t i = 0; i < unit.count; ++i)
                             group[i] = &cells[pending[unit.begin + i]];
-                        std::vector<CellResult> results_batch =
+                        const std::vector<CellResult> results =
                             run_sweep_group(ctx_, spec_, group);
                         for (std::size_t i = 0; i < unit.count; ++i)
-                            record_one(unit.begin + i,
-                                       std::move(results_batch[i]));
+                            coord.record(group[i]->id(), results[i]);
+                        coord.maybe_progress();
                     }
                 } catch (...) {
                     errors[s] = std::current_exception();
@@ -425,35 +307,7 @@ SweepSummary SweepRunner::run() {
         });
     for (const auto& error : errors)
         if (error) std::rethrow_exception(error);
-    // A bad manifest stream (disk full, I/O error) silently drops resume
-    // state — fail loudly rather than let --resume re-run finished cells.
-    tensor::check(manifest.ok(), "sweep: manifest writes to '" +
-                                     summary.manifest_path +
-                                     "' failed; resume state is incomplete");
-    summary.cells_executed = completed.load();
-    summary.cells_over_budget = over_budget.load();
-    // Abort only after every dispatched cell is recorded: an interrupted
-    // budget run must stay resumable.
-    tensor::check(!(opts_.cell_budget_abort && summary.cells_over_budget > 0),
-                  "sweep: " + std::to_string(summary.cells_over_budget) +
-                      " cell(s) exceeded the " +
-                      util::fmt(opts_.cell_budget_ms, 0) +
-                      " ms budget (--cell-budget-abort)");
-    for (std::size_t p = 0; p < pending.size(); ++p)
-        results[cells[pending[p]].id()] = executed[p];
-
-    aggregate_and_write_csv(cells, spec_, results, summary);
-#if XS_TELEMETRY_ENABLED
-    // Snapshot after aggregation so the aggregate phase timing is included;
-    // a resumed run folds the prior record's totals in first, so the
-    // manifest's newest metrics record covers the whole sweep. The manifest
-    // copy is an uncounted informational record.
-    util::metrics::Snapshot final_snap = util::metrics::snapshot();
-    merge_prior_metrics(prior_metrics, final_snap);
-    summary.metrics_json = util::metrics::to_json(final_snap);
-    manifest.record_metrics(summary.metrics_json);
-#endif
-    return summary;
+    return coord.finish();
 }
 
 std::string accuracy_vs_size_table(const SweepSummary& summary) {
@@ -546,11 +400,8 @@ std::string dry_run_report(const core::ExperimentContext& ctx,
 
     // Distinct models the runner's prepare phase would train or load, in
     // first-use order.
-    std::vector<const SweepCell*> cell_ptrs;
-    cell_ptrs.reserve(cells.size());
-    for (const SweepCell& c : cells) cell_ptrs.push_back(&c);
     const std::vector<core::ModelSpec> specs =
-        distinct_model_specs(ctx, cell_ptrs);
+        distinct_model_specs(ctx, cells);
     os << "models to prepare: " << specs.size() << "\n";
     for (const core::ModelSpec& ms : specs) os << "  " << ms.key() << "\n";
     return os.str();

@@ -12,11 +12,12 @@
 // byte-identical at any shard count, however cells are grouped, with or
 // without interruption.
 //
-// For crash isolation, the supervisor (sweep/supervisor.h) executes the
-// same grid in forked worker *processes*; it shares this header's cell
-// execution, fingerprinting, resume loading, and aggregation, so the two
-// execution engines cannot drift apart — a supervised sweep's aggregate CSV
-// is byte-identical to a single-process run of the same spec.
+// The same grid also runs in forked worker processes (sweep/supervisor.h)
+// and on remote agent hosts (sweep/service.h). All three executors keep
+// their per-sweep bookkeeping — resume, pending list, durable ack,
+// retry/quarantine, progress, aggregation — in one SweepCoordinator
+// (sweep/coordinator.h) and execute cells through run_sweep_group, so their
+// aggregate CSVs are byte-identical to each other.
 #pragma once
 
 #include "core/experiments.h"
@@ -44,19 +45,21 @@ struct SweepOptions {
     // mid-sweep interruption.
     std::int64_t max_cells = -1;
     // Per-cell wall-time budget in milliseconds; 0 disables budgeting.
-    // In-process (SweepRunner): every cell's elapsed ms is recorded in the
-    // manifest (wall_ms) either way; cells over budget log a warning and
-    // count into SweepSummary::cells_over_budget. Under the supervisor the
-    // budget is a hard watchdog deadline: a worker still holding the cell
-    // past it is SIGKILLed and the cell re-dealt (DESIGN.md §9).
+    // Every cell's elapsed ms is recorded in the manifest (wall_ms) either
+    // way; cells over budget log a warning and count into
+    // SweepSummary::cells_over_budget. Under the supervisor the budget is
+    // also a hard watchdog deadline: a worker still holding the cell past it
+    // is SIGKILLed, the kill counts as an overrun, and the cell is re-dealt
+    // (DESIGN.md §9); the service uses it as the lease duration (§11).
     double cell_budget_ms = 0.0;
-    // Escalate budget overruns to a hard failure: the sweep still finishes
-    // its dispatched cells (and records them in the manifest, so --resume
-    // loses nothing), then throws listing the overrun count.
+    // Escalate budget overruns to a hard failure, under every executor: the
+    // sweep still finishes its dispatched cells (and records them in the
+    // manifest, so --resume loses nothing), then throws listing the overrun
+    // count.
     bool cell_budget_abort = false;
     // Emit a progress heartbeat on stderr every this many seconds while
-    // cells execute (cells done/failed/retried, rate, ETA, and — under the
-    // supervisor — per-worker liveness). 0 disables the heartbeat.
+    // cells execute (cells settled, failed — resumed plus new quarantines —,
+    // retried, rate, ETA, then per-worker or per-host state). 0 disables it.
     double progress_sec = 0.0;
 };
 
@@ -81,10 +84,11 @@ struct SweepSummary {
     std::int64_t cells_total = 0;
     std::int64_t cells_executed = 0;
     std::int64_t cells_resumed = 0;   // taken from the manifest (ok + failed)
-    std::int64_t cells_pending = 0;   // skipped by max_cells
+    std::int64_t cells_pending = 0;   // left undone (max_cells, drain)
     std::int64_t cells_over_budget = 0;  // executed cells over cell_budget_ms
-    // Robustness accounting (populated by the supervisor; the in-process
-    // runner only carries failed cells forward from a resumed manifest).
+    // Robustness accounting (retries and quarantines come from the
+    // supervisor and the service; the in-process runner only carries failed
+    // cells forward from a resumed manifest).
     std::int64_t cells_failed = 0;          // quarantined, in the grid
     std::vector<std::string> failed_cells;  // their ids, expansion order
     std::int64_t worker_restarts = 0;
@@ -110,9 +114,9 @@ struct SweepSummary {
 // isolate model error.
 std::uint64_t cell_seed(std::uint64_t master_seed, const SweepCell& cell);
 
-// ---- building blocks shared by SweepRunner and the supervisor ----
-// Both execution engines compose exactly these, so their aggregate CSVs
-// cannot diverge.
+// ---- building blocks shared by every executor ----
+// SweepCoordinator composes the fingerprint, the model list, aggregation and
+// the metrics merge below; worker processes run run_sweep_group.
 
 // The sweep work unit: execute `cells` (repeats of ONE grid point, any
 // subset, ≥1) in the calling process. One model resolve and one EvalConfig
@@ -135,20 +139,17 @@ std::vector<CellResult> run_sweep_group(core::ExperimentContext& ctx,
 std::string sweep_config_fingerprint(const core::ExperimentContext& ctx,
                                      const SweepSpec& spec);
 
-// Resume support: load the manifest, warn (loudly, with a count) about
-// corrupt lines, and refuse a fingerprint mismatch. Returns recorded
-// results (ok and failed); `summary` gets manifest_lines_skipped and — so
-// telemetry totals accumulate across resumes instead of resetting — the
-// prior run's metrics record into metrics_json (see merge_prior_metrics).
-// `had_config` reports whether the manifest already carries a fingerprint.
-std::map<std::string, CellResult> load_resume_state(
-    const std::string& manifest_path, const std::string& config_fp,
-    SweepSummary& summary, bool& had_config);
+// The distinct models a set of cells resolves to, deduplicated by spec key
+// in first-use order — shared by the coordinator's prepare phase, the agent
+// and the --dry-run preview, so the preview can never diverge from what
+// actually trains.
+std::vector<core::ModelSpec> distinct_model_specs(
+    const core::ExperimentContext& ctx, const std::vector<SweepCell>& cells);
 
 // Fold a resumed manifest's prior {"metrics":…} record (inner JSON; "" is a
 // no-op) into `snap`, so the record appended at the end of this run carries
-// the whole sweep's totals — every execution engine calls this before
-// ManifestWriter::record_metrics.
+// the whole sweep's totals (SweepCoordinator::finish calls this before
+// ManifestWriter::record_metrics).
 void merge_prior_metrics(const std::string& prior_json,
                          util::metrics::Snapshot& snap);
 

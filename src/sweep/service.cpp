@@ -1,5 +1,6 @@
 #include "sweep/service.h"
 
+#include "sweep/coordinator.h"
 #include "sweep/lease.h"
 #include "sweep/net.h"
 #include "sweep/pool.h"
@@ -12,14 +13,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <utility>
 
@@ -29,12 +27,6 @@
 namespace xs::sweep {
 
 namespace {
-
-double now_ms() {
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
 
 std::atomic<bool> g_drain{false};
 
@@ -85,59 +77,16 @@ bool drain_requested() { return g_drain.load(std::memory_order_relaxed); }
 
 SweepSummary run_service(core::ExperimentContext& ctx, const SweepSpec& spec,
                          const SweepOptions& opts, const ServiceOptions& svc) {
-    const std::vector<SweepCell> cells = spec.expand();
-    SweepSummary summary;
-    summary.cells_total = static_cast<std::int64_t>(cells.size());
-    summary.manifest_path = ctx.csv_path(opts.manifest_name);
-    summary.csv_path = ctx.csv_path(opts.csv_name);
+    SweepCoordinator coord(ctx, spec, opts);
+    if (coord.pending().empty()) return coord.finish();
+    const std::vector<SweepCell>& cells = coord.cells();
+    SweepSummary& summary = coord.summary();
+    const std::string join_fp =
+        join_fingerprint(sweep_config_fingerprint(ctx, spec), cells);
 
-    const std::string config_fp = sweep_config_fingerprint(ctx, spec);
-    const std::string join_fp = join_fingerprint(config_fp, cells);
-    std::map<std::string, CellResult> results;
-    bool had_config = false;
-    if (opts.resume)
-        results = load_resume_state(summary.manifest_path, config_fp, summary,
-                                    had_config);
-    const std::string prior_metrics = summary.metrics_json;
-    ManifestWriter manifest(summary.manifest_path, opts.resume);
-    tensor::check(manifest.ok(), "service: cannot open manifest '" +
-                                     summary.manifest_path + "' for writing");
-    if (!had_config) manifest.record_config(config_fp);
-
-    std::vector<std::size_t> undone;
-    for (std::size_t i = 0; i < cells.size(); ++i)
-        if (results.find(cells[i].id()) == results.end()) undone.push_back(i);
-    summary.cells_resumed =
-        summary.cells_total - static_cast<std::int64_t>(undone.size());
-    if (opts.max_cells >= 0 &&
-        undone.size() > static_cast<std::size_t>(opts.max_cells))
-        undone.resize(static_cast<std::size_t>(opts.max_cells));
-    summary.cells_pending = summary.cells_total - summary.cells_resumed -
-                            static_cast<std::int64_t>(undone.size());
-
-    LeaseScheduler sched(svc.max_cell_retries, svc.retry_backoff_ms);
-    std::map<std::string, std::size_t> id_to_sched;
-    std::map<std::size_t, std::size_t> cell_to_sched;
-    for (const std::size_t i : undone) {
-        id_to_sched[cells[i].id()] = sched.size();
-        cell_to_sched[i] = sched.size();
-        sched.add(i);
-    }
-
+    LeaseScheduler sched(coord.pending(), svc.max_cell_retries,
+                         svc.retry_backoff_ms);
     util::metrics::Snapshot host_metrics;  // kMetrics frames, all hosts
-
-    if (sched.size() == 0) {
-        tensor::check(manifest.ok(), "service: manifest writes to '" +
-                                         summary.manifest_path + "' failed");
-        aggregate_and_write_csv(cells, spec, results, summary);
-#if XS_TELEMETRY_ENABLED
-        util::metrics::Snapshot final_snap = util::metrics::snapshot();
-        merge_prior_metrics(prior_metrics, final_snap);
-        summary.metrics_json = util::metrics::to_json(final_snap);
-        manifest.record_metrics(summary.metrics_json);
-#endif
-        return summary;
-    }
 
     // A host dying mid-send surfaces as EPIPE on our write, not a signal.
     ::signal(SIGPIPE, SIG_IGN);
@@ -153,36 +102,7 @@ SweepSummary run_service(core::ExperimentContext& ctx, const SweepSpec& spec,
 
     std::vector<std::unique_ptr<Host>> hosts;
     std::int64_t next_host_id = 0;
-    std::int64_t quarantined = 0;
     const double lease_ms = opts.cell_budget_ms;
-
-    const auto attempt_failed = [&](std::size_t p, const std::string& reason) {
-        const SweepCell& cell = cells[sched.at(p).cell_index];
-        const std::int64_t attempts = sched.attempts_of(p);
-        if (sched.fail(p, now_ms()) == LeaseScheduler::FailOutcome::kRetry) {
-            const double backoff =
-                svc.retry_backoff_ms *
-                std::pow(2.0, static_cast<double>(attempts - 1));
-            ++summary.cell_retries;
-            XS_COUNT("sweep.cells.retried", 1);
-            util::log_warn("service: cell " + cell.id() + " attempt " +
-                           std::to_string(attempts) + " failed (" + reason +
-                           "); re-dealing in " + util::fmt(backoff, 0) +
-                           " ms");
-        } else {
-            CellResult fr;
-            fr.status = "failed";
-            fr.reason = reason;
-            fr.attempts = attempts;
-            fr.backend = xbar::backend_name(cell.backend);
-            manifest.record(cell.id(), fr);
-            results[cell.id()] = fr;
-            ++quarantined;
-            util::log_warn("service: quarantined cell " + cell.id() +
-                           " after " + std::to_string(attempts) +
-                           " attempt(s): " + reason);
-        }
-    };
 
     // Declare a host dead: every lease it still owns fails (re-deal with
     // backoff elsewhere); leases it was slow on (owner already moved) just
@@ -195,7 +115,7 @@ SweepSummary run_service(core::ExperimentContext& ctx, const SweepSpec& spec,
                                   " lease(s)"));
         for (const std::size_t p : h.leased)
             if (sched.at(p).in_flight && sched.at(p).owner == h.id)
-                attempt_failed(p, h.name() + " " + why);
+                coord.attempt_failed(sched, p, h.name() + " " + why);
         h.leased.clear();
         ::close(h.fd);
         h.fd = -1;
@@ -209,10 +129,43 @@ SweepSummary run_service(core::ExperimentContext& ctx, const SweepSpec& spec,
                     hosts.end());
     };
 
+    // Decode, dedup and record one ack from h. Returns why the host is
+    // misbehaving (an undecodable ack, or a cell outside this sweep), or ""
+    // when the ack was recorded or deduped.
+    const auto take_ack = [&](Host& h, const std::string& payload) {
+        std::string id;
+        CellResult r;
+        if (!decode_manifest_line(payload, id, r))
+            return std::string("sent an undecodable ack");
+        const std::int64_t p = coord.position(id);
+        if (p >= 0)
+            h.leased.erase(std::remove(h.leased.begin(), h.leased.end(),
+                                       static_cast<std::size_t>(p)),
+                           h.leased.end());
+        switch (coord.record(id, r, h.name())) {
+            case SweepCoordinator::Ack::kForeign:
+                return "acked a cell outside this sweep (" + id + ")";
+            case SweepCoordinator::Ack::kRecorded:
+                sched.ack(static_cast<std::size_t>(p));
+                ++h.cells_done;
+                break;
+            case SweepCoordinator::Ack::kDuplicate:
+                break;
+        }
+        return std::string();
+    };
+
+    const auto take_metrics = [&](const Host& h, const std::string& payload) {
+        util::metrics::Snapshot snap;
+        if (util::metrics::from_json(payload, snap))
+            util::metrics::merge(host_metrics, snap);
+        else
+            util::log_warn("service: discarding an unparsable metrics frame "
+                           "from " + h.name());
+    };
+
     std::vector<pollfd> fds;
     std::vector<Host*> fd_host;
-    const util::Stopwatch run_clock;
-    double next_beat = opts.progress_sec;
     double next_hb = now_ms() + svc.heartbeat_ms;
     while (!sched.all_done()) {
         const bool draining = svc.drain || drain_requested();
@@ -232,16 +185,15 @@ SweepSummary run_service(core::ExperimentContext& ctx, const SweepSpec& spec,
                     if (p < 0) break;
                     const std::size_t pi = static_cast<std::size_t>(p);
                     const std::size_t ci = sched.at(pi).cell_index;
-                    sched.deal(pi, now, lease_ms, h.id);
                     const std::string payload =
                         wire::encode_deal(static_cast<std::int64_t>(ci),
-                                          sched.attempts_of(pi) - 1);
+                                          sched.attempts_of(pi));
                     if (!net::send_frame(h.fd, wire::MsgType::kDeal,
                                          payload)) {
-                        sched.undeal(pi);  // never reached the host
                         host_dead(h, "rejected a deal (send failed)");
                         break;
                     }
+                    sched.deal(pi, now, lease_ms, h.id);
                     h.leased.push_back(pi);
                     XS_DLOG("service: dealt cell " + cells[ci].id() + " to " +
                             h.name());
@@ -253,12 +205,9 @@ SweepSummary run_service(core::ExperimentContext& ctx, const SweepSpec& spec,
         // Poll: the listener plus every host connection. Timeout is the
         // nearest lease/backoff event, our next beacon, or the progress
         // beat — capped so heartbeat-miss checks keep running.
-        double timeout = sched.next_event_ms(now, 250.0);
-        timeout = std::min(timeout, next_hb - now);
-        if (opts.progress_sec > 0.0)
-            timeout = std::min(timeout,
-                               (next_beat - run_clock.seconds()) * 1000.0);
-        timeout = std::max(timeout, 0.0);
+        const double timeout = coord.ms_until_progress(std::clamp(
+            std::min(sched.next_event_ms(now, 250.0), next_hb - now), 0.0,
+            250.0));
 
         fds.clear();
         fd_host.clear();
@@ -333,61 +282,8 @@ SweepSummary run_service(core::ExperimentContext& ctx, const SweepSpec& spec,
                     case wire::MsgType::kHeartbeat:
                         break;  // last_heard already refreshed
                     case wire::MsgType::kAck: {
-                        std::string id;
-                        CellResult r;
-                        if (!decode_manifest_line(msg.payload, id, r)) {
-                            host_dead(h, "sent an undecodable ack");
-                            break;
-                        }
-                        const auto sp = id_to_sched.find(id);
-                        if (sp != id_to_sched.end()) {
-                            h.leased.erase(std::remove(h.leased.begin(),
-                                                       h.leased.end(),
-                                                       sp->second),
-                                           h.leased.end());
-                        }
-                        if (results.find(id) != results.end()) {
-                            // The cell was already durably recorded — a
-                            // slow host finishing after its lease was
-                            // re-dealt, or an agent replaying its outbox
-                            // after a reconnect. First append won; drop it.
-                            ++summary.duplicate_acks;
-                            XS_COUNT("sweep.service.duplicate_acks", 1);
-                            util::log_info("service: duplicate ack for " +
-                                           id + " from " + h.name() +
-                                           " deduped");
-                            break;
-                        }
-                        if (sp == id_to_sched.end()) {
-                            // Belt-and-braces behind the join fingerprint:
-                            // an id that is neither recorded nor scheduled
-                            // is not a cell of this sweep, and recording it
-                            // would poison the manifest for resume.
-                            host_dead(h, "acked a cell outside this sweep "
-                                         "(" + id + ")");
-                            break;
-                        }
-                        manifest.record(id, r);  // durable before counted
-                        results[id] = r;
-                        XS_COUNT("sweep.cells.done", 1);
-                        if (sp != id_to_sched.end()) sched.ack(sp->second);
-                        ++summary.cells_executed;
-                        ++h.cells_done;
-                        if (opts.cell_budget_ms > 0.0 &&
-                            r.wall_ms > opts.cell_budget_ms) {
-                            ++summary.cells_over_budget;
-                            util::log_warn(
-                                "sweep cell " + id + " over budget: " +
-                                util::fmt(r.wall_ms, 0) + " ms > " +
-                                util::fmt(opts.cell_budget_ms, 0) + " ms");
-                        }
-                        util::log_info(
-                            "sweep cell " +
-                            std::to_string(sched.done_count()) + "/" +
-                            std::to_string(sched.size()) + " " + id +
-                            ": acc " + util::fmt(r.accuracy) + "% (" +
-                            util::fmt(r.wall_ms, 0) + " ms, " + h.name() +
-                            ", attempt " + std::to_string(r.attempts) + ")");
+                        const std::string err = take_ack(h, msg.payload);
+                        if (!err.empty()) host_dead(h, err);
                         break;
                     }
                     case wire::MsgType::kFail: {
@@ -397,31 +293,27 @@ SweepSummary run_service(core::ExperimentContext& ctx, const SweepSpec& spec,
                             host_dead(h, "sent an undecodable fail");
                             break;
                         }
-                        const auto cp =
-                            cell_to_sched.find(static_cast<std::size_t>(ci));
-                        if (cp == cell_to_sched.end()) break;
+                        if (ci < 0 ||
+                            ci >= static_cast<std::int64_t>(cells.size()))
+                            break;
+                        const std::int64_t p = coord.position(
+                            cells[static_cast<std::size_t>(ci)].id());
+                        if (p < 0) break;
+                        const std::size_t pi = static_cast<std::size_t>(p);
                         h.leased.erase(std::remove(h.leased.begin(),
-                                                   h.leased.end(),
-                                                   cp->second),
+                                                   h.leased.end(), pi),
                                        h.leased.end());
                         // Owner check: a fail from a host whose lease
                         // already expired (the cell moved on) is stale —
                         // its worker slot freed up, nothing else.
-                        if (sched.at(cp->second).in_flight &&
-                            sched.at(cp->second).owner == h.id)
-                            attempt_failed(cp->second, reason);
+                        if (sched.at(pi).in_flight &&
+                            sched.at(pi).owner == h.id)
+                            coord.attempt_failed(sched, pi, reason);
                         break;
                     }
-                    case wire::MsgType::kMetrics: {
-                        util::metrics::Snapshot snap;
-                        if (util::metrics::from_json(msg.payload, snap))
-                            util::metrics::merge(host_metrics, snap);
-                        else
-                            util::log_warn(
-                                "service: discarding an unparsable metrics "
-                                "frame from " + h.name());
+                    case wire::MsgType::kMetrics:
+                        take_metrics(h, msg.payload);
                         break;
-                    }
                     default:
                         host_dead(h, "sent unexpected message type " +
                                          std::to_string(static_cast<int>(
@@ -436,11 +328,10 @@ SweepSummary run_service(core::ExperimentContext& ctx, const SweepSpec& spec,
         // Lease expiry: take the cell back and re-deal elsewhere, but keep
         // the slow host's connection — its late ack, if it ever lands, is
         // deduped above. Determinism is untouched either way.
-        for (const std::size_t p : sched.expired(now_ms())) {
-            const std::int64_t owner = sched.at(p).owner;
-            std::string owner_name = "host" + std::to_string(owner);
-            attempt_failed(p, "lease expired on " + owner_name);
-        }
+        for (const std::size_t p : sched.expired(now_ms()))
+            coord.attempt_failed(
+                sched, p,
+                "lease expired on host" + std::to_string(sched.at(p).owner));
 
         // Beacons out, silence check in. Any frame refreshes last_heard, so
         // a busy host never needs explicit heartbeats to stay alive.
@@ -462,31 +353,18 @@ SweepSummary run_service(core::ExperimentContext& ctx, const SweepSpec& spec,
                               " heartbeats");
         purge_dead();
 
-        if (opts.progress_sec > 0.0 && run_clock.seconds() >= next_beat) {
-            next_beat = run_clock.seconds() + opts.progress_sec;
-            const double elapsed = run_clock.seconds();
-            const double done = static_cast<double>(sched.done_count());
-            const double rate = elapsed > 0.0 ? done / elapsed : 0.0;
-            const double left =
-                static_cast<double>(sched.size() - sched.done_count());
-            std::string host_line;
-            for (const auto& hp : hosts) {
-                if (!hp->joined) continue;
-                host_line += " " + hp->name() + ": " +
-                             std::to_string(hp->leased.size()) + " busy/" +
-                             std::to_string(hp->cells_done) + " done";
-            }
-            util::log_info(
-                "progress: " + std::to_string(sched.done_count()) + "/" +
-                std::to_string(sched.size()) + " cells (" +
-                std::to_string(quarantined) + " failed, " +
-                std::to_string(summary.cell_retries) + " retries, " +
-                std::to_string(summary.duplicate_acks) + " dup acks), " +
-                util::fmt(rate, 2) + " cells/s, eta " +
-                (rate > 0.0 ? util::fmt(left / rate, 0) + " s" : "?") +
-                "; hosts: " + std::to_string(hosts.size()) + " connected" +
-                (host_line.empty() ? "" : " —" + host_line));
-        }
+        coord.maybe_progress([&] {
+            std::string line = "; hosts: " + std::to_string(hosts.size()) +
+                               " connected, " +
+                               std::to_string(summary.duplicate_acks) +
+                               " dup acks";
+            for (const auto& hp : hosts)
+                if (hp->joined)
+                    line += " — " + hp->name() + ": " +
+                            std::to_string(hp->leased.size()) + " busy/" +
+                            std::to_string(hp->cells_done) + " done";
+            return line;
+        });
     }
 
     // Orderly shutdown: every connected host gets kShutdown, drains its
@@ -519,39 +397,14 @@ SweepSummary run_service(core::ExperimentContext& ctx, const SweepSpec& spec,
                 if (msg.type == wire::MsgType::kAck) {
                     // A delayed ack can land during the shutdown grace (the
                     // sweep finished off a re-deal while the slow host was
-                    // still computing). Same rule as the main loop: first
-                    // durable append won, later copies are counted and
-                    // dropped — never ignored, or the dedup accounting
-                    // would depend on timing.
-                    std::string id;
-                    CellResult r;
-                    if (decode_manifest_line(msg.payload, id, r)) {
-                        if (results.find(id) != results.end()) {
-                            ++summary.duplicate_acks;
-                            XS_COUNT("sweep.service.duplicate_acks", 1);
-                            util::log_info("service: duplicate ack for " +
-                                           id + " from " + h.name() +
-                                           " during shutdown deduped");
-                        } else if (id_to_sched.find(id) ==
-                                   id_to_sched.end()) {
-                            util::log_warn("service: dropping an ack for a "
-                                           "cell outside this sweep (" + id +
-                                           ") from " + h.name());
-                        } else {
-                            manifest.record(id, r);
-                            results[id] = r;
-                            ++summary.cells_executed;
-                            const auto sp = id_to_sched.find(id);
-                            if (sp != id_to_sched.end())
-                                sched.ack(sp->second);
-                        }
-                    }
+                    // still computing). Same path as the main loop — never
+                    // ignored, or the dedup accounting would depend on
+                    // timing; the host is leaving anyway.
+                    take_ack(h, msg.payload);
                     continue;
                 }
                 if (msg.type == wire::MsgType::kMetrics) {
-                    util::metrics::Snapshot snap;
-                    if (util::metrics::from_json(msg.payload, snap))
-                        util::metrics::merge(host_metrics, snap);
+                    take_metrics(h, msg.payload);
                     ::close(h.fd);  // the metrics frame is the goodbye
                     h.fd = -1;
                     break;
@@ -569,22 +422,7 @@ SweepSummary run_service(core::ExperimentContext& ctx, const SweepSpec& spec,
     hosts.clear();
     ::close(listen_fd);
 
-    // Drained early: undone cells stay pending (and resumable).
-    summary.cells_pending += static_cast<std::int64_t>(sched.size()) -
-                             static_cast<std::int64_t>(sched.done_count());
-
-    tensor::check(manifest.ok(), "service: manifest writes to '" +
-                                     summary.manifest_path +
-                                     "' failed; resume state is incomplete");
-    aggregate_and_write_csv(cells, spec, results, summary);
-#if XS_TELEMETRY_ENABLED
-    util::metrics::Snapshot final_snap = util::metrics::snapshot();
-    util::metrics::merge(final_snap, host_metrics);
-    merge_prior_metrics(prior_metrics, final_snap);
-    summary.metrics_json = util::metrics::to_json(final_snap);
-    manifest.record_metrics(summary.metrics_json);
-#endif
-    return summary;
+    return coord.finish(&host_metrics);
 }
 
 int run_agent(core::ExperimentContext& ctx, const SweepSpec& spec,
@@ -601,17 +439,9 @@ int run_agent(core::ExperimentContext& ctx, const SweepSpec& spec,
     // Prepare every distinct model in the grid before forking workers: the
     // agent doesn't know which cells it will be dealt, and workers resolve
     // prepared specs from the on-disk model cache.
-    {
-        std::set<std::string> seen;
-        for (const SweepCell& c : cells) {
-            core::ModelSpec ms = ctx.spec(c.variant, c.num_classes,
-                                          c.prune.method, c.prune.sparsity,
-                                          c.mitigation.wct);
-            if (seen.insert(ms.key()).second) ctx.prepared(ms);
-        }
-    }
+    for (const core::ModelSpec& ms : distinct_model_specs(ctx, cells))
+        ctx.prepared(ms);
 
-    ::signal(SIGPIPE, SIG_IGN);
     WorkerPool pool(opts.worker_cmd, opts.max_worker_restarts);
     tensor::check(pool.spawn(static_cast<std::size_t>(opts.workers)),
                   "agent: failed to spawn worker process");
@@ -741,49 +571,23 @@ int run_agent(core::ExperimentContext& ctx, const SweepSpec& spec,
             return 1;
         }
 
-        // Dispatch queued deals to idle ready workers.
-        for (std::size_t wi = 0;
-             wi < pool.size() && !deals.empty(); ++wi) {
-            PoolWorker& w = pool[wi];
-            if (!w.alive || !w.ready || w.dealt >= 0) continue;
+        // Dispatch queued deals to idle ready workers. The local watchdog
+        // mirrors the service lease: a hung worker is killed here and
+        // failed back, instead of silently pinning a capacity slot until
+        // the service re-deals around us.
+        for (std::int64_t wi;
+             !deals.empty() && (wi = pool.idle_worker()) >= 0;) {
             const auto [ci, attempt] = deals.front();
-            if (!wire::write_message(w.deal_fd, wire::MsgType::kDeal,
-                                     wire::encode_deal(ci, attempt))) {
-                pool.kill(wi);
-                bool respawned = false;
-                const std::string detail = pool.reap_and_respawn(wi,
-                                                                 respawned);
-                util::log_warn("agent: worker rejected a deal (" + detail +
-                               (respawned ? "); respawned" : "); retired"));
-                continue;
-            }
-            deals.pop_front();
-            w.dealt = ci;
-            w.ready = false;
-            // Local watchdog mirrors the service lease: a hung worker is
-            // killed here and failed back, instead of silently pinning a
-            // capacity slot until the service re-deals around us.
-            w.deadline = lease_ms > 0.0 ? now_ms() + lease_ms : 0.0;
+            if (pool.deal(static_cast<std::size_t>(wi), ci,
+                          wire::encode_deal(ci, attempt), lease_ms))
+                deals.pop_front();
         }
 
         const double now = now_ms();
-        double timeout = std::min(next_hb - now, 250.0);
-        for (std::size_t wi = 0; wi < pool.size(); ++wi) {
-            const PoolWorker& w = pool[wi];
-            if (w.alive && w.dealt >= 0 && w.deadline > 0.0)
-                timeout = std::min(timeout, w.deadline - now);
-        }
-        timeout = std::max(timeout, 0.0);
-
-        std::vector<pollfd> fds;
-        std::vector<std::int64_t> owner;  // -1 = socket, else worker index
-        fds.push_back({fd, POLLIN, 0});
-        owner.push_back(-1);
-        for (std::size_t wi = 0; wi < pool.size(); ++wi)
-            if (pool[wi].alive) {
-                fds.push_back({pool[wi].ack_fd, POLLIN, 0});
-                owner.push_back(static_cast<std::int64_t>(wi));
-            }
+        const double timeout =
+            pool.next_deadline_ms(now, std::clamp(next_hb - now, 0.0, 250.0));
+        std::vector<pollfd> fds{{fd, POLLIN, 0}};
+        pool.add_poll_fds(fds);
         ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
                static_cast<int>(std::ceil(timeout)));
 
@@ -850,72 +654,28 @@ int run_agent(core::ExperimentContext& ctx, const SweepSpec& spec,
         if (fd >= 0 && now_ms() - last_heard > heartbeat_ms * 3.0)
             disconnect("service silent for 3 heartbeats");
 
-        for (std::size_t fi = 1; fi < fds.size(); ++fi) {
-            if (fds[fi].revents == 0) continue;
-            const std::size_t wi = static_cast<std::size_t>(owner[fi]);
-            PoolWorker& w = pool[wi];
-            if (!w.alive) continue;
-            w.reader.fill();
-            wire::Message msg;
-            while (w.reader.pop(msg)) {
-                switch (msg.type) {
-                    case wire::MsgType::kHello:
-                        w.ready = true;
-                        break;
-                    case wire::MsgType::kAck:
-                        queue_send(wire::MsgType::kAck, msg.payload);
-                        w.dealt = -1;
-                        w.deadline = 0.0;
-                        w.ready = true;
-                        break;
-                    case wire::MsgType::kFail:
-                        if (w.dealt >= 0)
-                            queue_send(wire::MsgType::kFail,
-                                       net::encode_fail(w.dealt,
-                                                        msg.payload));
-                        w.dealt = -1;
-                        w.deadline = 0.0;
-                        w.ready = true;
-                        break;
-                    default:
-                        util::log_warn(
-                            "agent: unexpected worker message type " +
-                            std::to_string(static_cast<int>(msg.type)));
-                }
-            }
-            if (w.reader.finished()) {
-                const std::int64_t dealt = w.dealt;
-                bool respawned = false;
-                const std::string detail =
-                    pool.reap_and_respawn(wi, respawned);
-                util::log_warn("agent: worker " + detail +
-                               (respawned ? "; respawned" : "; retired"));
-                if (dealt >= 0)
-                    queue_send(wire::MsgType::kFail,
-                               net::encode_fail(dealt, "worker " + detail));
-            }
-        }
-
-        // Local watchdog: kill workers holding a cell past the lease.
-        const double t = now_ms();
-        for (std::size_t wi = 0; wi < pool.size(); ++wi) {
-            PoolWorker& w = pool[wi];
-            if (!w.alive || w.dealt < 0 || w.deadline <= 0.0 ||
-                t < w.deadline)
+        for (const PoolEvent& ev : pool.pump()) {
+            if (ev.kind == PoolEvent::Kind::kAck) {
+                queue_send(wire::MsgType::kAck, ev.text);
                 continue;
-            const std::int64_t dealt = w.dealt;
-            pool.kill(wi);
-            bool respawned = false;
-            const std::string detail = pool.reap_and_respawn(wi, respawned);
-            util::log_warn("agent: watchdog-killed worker on cell " +
-                           std::to_string(dealt) +
-                           (respawned ? "; respawned" : "; retired"));
-            queue_send(wire::MsgType::kFail,
-                       net::encode_fail(dealt, "watchdog-killed after " +
-                                                   util::fmt(lease_ms, 0) +
-                                                   " ms"));
+            }
+            std::string reason = ev.text;
+            if (ev.kind == PoolEvent::Kind::kDied) {
+                util::log_warn("agent: worker " +
+                               (ev.watchdog ? "watchdog-killed on cell " +
+                                                  std::to_string(ev.token)
+                                            : ev.text) +
+                               (ev.respawned ? "; respawned" : "; retired"));
+                reason = ev.watchdog ? "watchdog-killed after " +
+                                           util::fmt(lease_ms, 0) + " ms"
+                                     : "worker " + ev.text;
+            }
+            if (ev.token >= 0)
+                queue_send(wire::MsgType::kFail,
+                           net::encode_fail(ev.token, reason));
         }
 
+        const double t = now_ms();
         if (fd >= 0 && t >= next_hb) {
             next_hb = t + heartbeat_ms;
             if (!net::send_frame(fd, wire::MsgType::kHeartbeat, ""))

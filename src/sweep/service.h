@@ -1,9 +1,12 @@
 // Fault-tolerant multi-host sweep service (DESIGN.md §11).
 //
 // One coordinator (examples/sweep_serve.cpp) owns the grid, the manifest,
-// and the aggregate CSV; any number of agent hosts (sweep_runner
-// --agent=host:port) connect over TCP (sweep/net.h), each running the PR 6
-// forked worker pool locally. Cells are scheduled as *leases*
+// and the aggregate CSV through the same SweepCoordinator
+// (sweep/coordinator.h) the runner and the supervisor use; run_service is
+// only the TCP transport loop (join, heartbeats, leases). Any number of
+// agent hosts (sweep_runner --agent=host:port) connect over TCP
+// (sweep/net.h), each driving a local forked WorkerPool (sweep/pool.h).
+// Cells are scheduled as *leases*
 // (sweep/lease.h): a deal carries a deadline derived from the per-cell
 // wall-time budget, and a cell still unacknowledged past it is re-dealt to
 // another host with exponential backoff — while the slow host's connection
@@ -57,12 +60,12 @@ struct ServiceOptions {
     bool drain = false;
 };
 
-// Run the sweep as a coordinator service. Shares resume loading,
-// fingerprinting, lease scheduling, and aggregation with the supervisor;
-// opts.cell_budget_ms becomes the lease duration. Blocks until every
-// pending cell is acknowledged or quarantined (or the service drains).
-// Throws only on coordinator-side failures (manifest I/O, listen failure);
-// host deaths and per-cell failures are retried or quarantined.
+// Run the sweep as a coordinator service through the shared
+// SweepCoordinator; opts.cell_budget_ms becomes the lease duration. Blocks
+// until every pending cell is acknowledged or quarantined (or the service
+// drains). Throws only on coordinator-side failures (manifest I/O, listen
+// failure, a budget abort); host deaths and per-cell failures are retried
+// or quarantined.
 SweepSummary run_service(core::ExperimentContext& ctx, const SweepSpec& spec,
                          const SweepOptions& opts, const ServiceOptions& svc);
 

@@ -3,11 +3,15 @@
 // The supervisor runs a SweepSpec grid with the cells executed in forked
 // worker *processes* instead of threads, so a crash (solver bug, OOM kill,
 // injected fault) or a hang takes down one worker and one attempt of one
-// cell — never the sweep. The coordinator deals cells over anonymous pipes
-// (sweep/wire.h), records each acknowledged cell durably in the manifest
-// (the fsync'd append *is* the ack), re-deals cells whose worker died or
-// blew the watchdog deadline, retries with exponential backoff, and
-// quarantines poison cells after the retry budget instead of aborting.
+// cell — never the sweep. run_supervised is only the pipe transport loop:
+// it deals cells to the WorkerPool (sweep/pool.h) over anonymous pipes
+// (sweep/wire.h) and reacts to its ack/fail/death events. Everything else
+// is the shared SweepCoordinator (sweep/coordinator.h): each ack becomes a
+// durable manifest append (the fsync'd append *is* the ack), a failed
+// attempt (thrown error, worker death, watchdog kill) retries with
+// exponential backoff and quarantines after the retry budget instead of
+// aborting, and the resume, progress and aggregation rules are the
+// runner's own.
 //
 // Determinism: workers execute the same run_sweep_group() the in-process
 // SweepRunner uses, one cell per deal, with per-cell seeds derived from the
@@ -50,12 +54,13 @@ struct SupervisorOptions {
     std::int64_t max_worker_restarts = 4;
 };
 
-// Execute the sweep under process supervision. Shares resume loading,
-// fingerprinting, cell execution, and aggregation with SweepRunner::run();
-// opts.cell_budget_ms becomes the per-cell watchdog deadline (a worker
-// holding a cell past it is SIGKILLed and the cell re-dealt). Throws only
-// on coordinator-side failures (manifest I/O, fingerprint mismatch, the
-// whole pool dead); per-cell failures are quarantined, not thrown.
+// Execute the sweep under process supervision through the same
+// SweepCoordinator as SweepRunner::run(); opts.cell_budget_ms becomes the
+// per-cell watchdog deadline (a worker holding a cell past it is SIGKILLed,
+// the cell re-dealt, and the kill counted as a budget overrun, so
+// opts.cell_budget_abort applies). Throws only on coordinator-side failures
+// (manifest I/O, fingerprint mismatch, the whole pool dead, a budget
+// abort); per-cell failures are quarantined, not thrown.
 SweepSummary run_supervised(core::ExperimentContext& ctx, const SweepSpec& spec,
                             const SweepOptions& opts,
                             const SupervisorOptions& sup);

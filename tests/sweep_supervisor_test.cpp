@@ -216,6 +216,31 @@ TEST(SweepSupervisor, WatchdogKillsHungWorkerAndSweepRecovers) {
     EXPECT_EQ(slurp(summary.csv_path), baseline_csv());
 }
 
+// --cell-budget-abort applies under supervision too: the watchdog-killed
+// cell is an overrun, so the sweep throws — but only after every dispatched
+// cell is recorded, so a resume without the flag executes nothing and
+// reproduces the uninterrupted CSV.
+TEST(SweepSupervisor, BudgetAbortThrowsAfterRecordingAndResumes) {
+    baseline_csv();
+    SweepOptions opts;
+    opts.csv_name = "sup_abort.csv";
+    opts.manifest_name = "sup_abort.jsonl";
+    opts.cell_budget_ms = 5000.0;
+    opts.cell_budget_abort = true;
+    {
+        EnvFault fault("hang@cell:1");
+        EXPECT_THROW(run_supervised(ctx(), tiny_spec(), opts, sup_opts()),
+                     std::exception);
+    }
+    opts.cell_budget_abort = false;
+    opts.resume = true;
+    const SweepSummary resumed =
+        run_supervised(ctx(), tiny_spec(), opts, sup_opts());
+    EXPECT_EQ(resumed.cells_executed, 0);
+    EXPECT_EQ(resumed.cells_resumed, 4);
+    EXPECT_EQ(slurp(resumed.csv_path), baseline_csv());
+}
+
 #if XS_TELEMETRY_ENABLED
 // The shutdown telemetry handshake end to end: every worker answers
 // kShutdown with a kMetrics frame, the coordinator merges the frames with
