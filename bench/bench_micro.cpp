@@ -100,8 +100,9 @@ std::vector<tensor::Tensor> random_tiles(std::int64_t size, std::size_t count,
 }
 
 // The zero-allocation pipeline path: caller-owned workspace, factored
-// sweeps, each solve warm-started from the previous (different) tile's
-// converged voltages — the pattern the evaluator's tile loop produces.
+// sweeps, each one-lane solve warm-started from the previous (different)
+// tile's converged voltages — the pattern the evaluator's tile loop
+// produces for a single repeat.
 void BM_CircuitSolveWorkspace(benchmark::State& state) {
     const auto size = state.range(0);
     xbar::CrossbarConfig config;
@@ -112,7 +113,8 @@ void BM_CircuitSolveWorkspace(benchmark::State& state) {
     xbar::SolveWorkspace ws;
     std::size_t t = 0;
     for (auto _ : state) {
-        solver.solve(tiles[t], v.data(), ws);
+        const tensor::Tensor* g = &tiles[t];
+        solver.solve(&g, 1, v.data(), ws);
         t = (t + 1) % tiles.size();
         benchmark::DoNotOptimize(ws.currents.data());
     }
@@ -162,8 +164,10 @@ void BM_DegradeTileWorkspace(benchmark::State& state) {
     xbar::DegradeWorkspace ws;
     xbar::TileDegradeResult out;
     std::size_t t = 0;
+    xbar::TileDegradeResult* op = &out;
     for (auto _ : state) {
-        xbar::degrade_tile(tiles[t], solver, ws, out);
+        const tensor::Tensor* g = &tiles[t];
+        xbar::degrade_tiles(&g, 1, solver, ws, &op);
         t = (t + 1) % tiles.size();
         benchmark::DoNotOptimize(out.g_eff.data());
     }

@@ -44,7 +44,9 @@ run_release() {
 # grid at 4 repeats runs once in-process (one compiled-instance set and one
 # batched inference pass per grid point) and once supervised with
 # --workers=1 (one-cell units in a forked worker); the two aggregate CSVs
-# must be byte-identical. A further multi-process run with
+# must be byte-identical. A tiny circuit nf-only grid (sizes 16 and 32, no
+# inference: the one-lane tile loop alone) runs the same two ways and must
+# also match byte for byte. A further multi-process run with
 # an injected worker crash (XS_FAULT) must respawn,
 # re-deal, and reproduce the single-process CSV byte for byte — the
 # supervisor's core invariant, checked end to end — while still emitting a
@@ -84,8 +86,8 @@ run_sweep_smoke() {
       "$smoke_dir/sweep_telemetry.jsonl"
   fi
   echo "=== repeat-batch equivalence smoke (grouped vs one-cell units) ==="
-  # 4 repeats = one full solver-lane group, so the lane-batched group path
-  # actually engages (the repeats=1 runs above ride its scalar fallback).
+  # 4 repeats = one full solver-lane group, so the multi-lane group path
+  # actually engages (the repeats=1 runs above solve one lane at a time).
   local rb_flags=("${smoke_flags[@]/--sweep-repeats=1/--sweep-repeats=4}")
   "$repo_root/build-release/sweep_runner" "${rb_flags[@]}" \
     --cell-budget-ms=120000 --csv=sweep_rb_batched.csv \
@@ -95,6 +97,22 @@ run_sweep_smoke() {
     --csv=sweep_rb_cells.csv --manifest=sweep_rb_cells.jsonl
   if ! cmp "$smoke_dir/sweep_rb_batched.csv" "$smoke_dir/sweep_rb_cells.csv"; then
     echo "sweep smoke: batched-repeat CSV differs from one-cell units" >&2
+    return 1
+  fi
+  echo "=== nf-only smoke (circuit NF grid, in-process vs --workers=1) ==="
+  # nf-only cells skip inference: measure_nf degrades every layer through
+  # the one-lane tile loop. Both executors must write the same CSV bytes.
+  local nf_flags=("${smoke_flags[@]/--sizes=16/--sizes=16,32}")
+  nf_flags=("${nf_flags[@]/--backends=circuit,fast/--backends=circuit}")
+  nf_flags+=(--nf-only=true)
+  "$repo_root/build-release/sweep_runner" "${nf_flags[@]}" \
+    --cell-budget-ms=120000 --csv=sweep_nf.csv --manifest=sweep_nf.jsonl
+  "$repo_root/build-release/sweep_runner" "${nf_flags[@]}" \
+    --workers=1 --cell-budget-ms=120000 \
+    --csv=sweep_nf_workers.csv --manifest=sweep_nf_workers.jsonl
+  if ! cmp "$smoke_dir/sweep_nf.csv" "$smoke_dir/sweep_nf_workers.csv"; then
+    echo "sweep smoke: nf-only CSV differs between in-process and" \
+      "--workers=1" >&2
     return 1
   fi
   echo "=== supervised sweep smoke (2 workers, injected crash) ==="

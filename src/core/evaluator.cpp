@@ -43,6 +43,7 @@ map::Tiling make_tiling(const Tensor& work, prune::Method method,
 // second resident copy of every layer's weights).
 struct MatrixPlan {
     bool use_compaction = false;
+    bool rearranged = false;
     bool transformed = false;
     map::Compaction compaction;
     Rearrangement rearrangement;
@@ -51,6 +52,13 @@ struct MatrixPlan {
 
     const Tensor& mapping_target(const Tensor& matrix) const {
         return transformed ? work : matrix;
+    }
+
+    // R⁻¹ then T⁻¹: a degraded mapping target back in the matrix's layout.
+    Tensor unmap(Tensor degraded) const {
+        if (rearranged) degraded = invert_columns(degraded, rearrangement);
+        if (use_compaction) degraded = map::uncompact(compaction, degraded);
+        return degraded;
     }
 };
 
@@ -71,26 +79,12 @@ MatrixPlan build_matrix_plan(const Tensor& matrix, const EvalConfig& config) {
         const Tensor& base = plan.mapping_target(matrix);
         plan.rearrangement = compute_rearrangement(base, config.order);
         plan.work = apply_columns(base, plan.rearrangement);
-        plan.transformed = true;
+        plan.rearranged = plan.transformed = true;
     }
     plan.tiling =
         make_tiling(plan.mapping_target(matrix), config.method, config.xbar.size);
     return plan;
 }
-
-// Per-worker scratch for the tile loop: tile/tensor buffers plus the stage
-// pipeline's context (solver workspace with warm-start state, G′ buffers,
-// compensation column sums). One instance per pool worker slot so the
-// steady state performs no per-tile heap allocation.
-struct TileWorker {
-    Tensor sub, tile_w;
-    Tensor g_pos, g_neg;
-    xbar::TileStageContext ctx;
-};
-
-// Per-worker scratch shared across layers and Monte-Carlo repeats: create
-// one per top-level degrade call chain so repeats reuse the grown buffers.
-using TileWorkers = std::vector<TileWorker>;
 
 // The non-ideality stage list for `config` (xbar/pipeline.h). Built once
 // per top-level degrade call chain and shared across layers and repeats —
@@ -107,67 +101,6 @@ xbar::TilePipeline build_pipeline(const EvalConfig& config) {
     spec.backend = config.backend;
     spec.fast_buckets = config.fast_buckets;
     return xbar::build_tile_pipeline(spec);
-}
-
-Tensor degrade_with_plan(const MatrixPlan& plan, const Tensor& matrix,
-                         const EvalConfig& config,
-                         const xbar::TilePipeline& pipeline, double w_ref,
-                         util::Rng& rng, DegradeStats& stats,
-                         TileWorkers& workers) {
-    const std::int64_t n = config.xbar.size;
-    const auto& tiles = plan.tiling.tiles;
-    const Tensor& source = plan.mapping_target(matrix);
-    const xbar::ConductanceMapper mapper(config.xbar.device, w_ref);
-
-    Tensor degraded = source;  // scatter target; tiles cover disjoint entries
-    // Pre-split one RNG per tile so the stochastic draws stay deterministic
-    // regardless of the chunk partition. Warm-started solves do depend on
-    // the partition: the iteration stops on the last sweep's update, so
-    // different warm-start chains can leave residuals of order
-    // tolerance·ρ/(1−ρ) (ρ = contraction factor, ≤ ~1e-3 in the physical
-    // wire regime — far below float resolution, but not a bit-for-bit
-    // guarantee). config.warm_start_solves = false forces cold starts for
-    // strict cross-machine reproducibility; unconverged solves are retried
-    // cold inside degrade_tile either way.
-    std::vector<util::Rng> tile_rngs;
-    tile_rngs.reserve(tiles.size());
-    for (std::size_t t = 0; t < tiles.size(); ++t)
-        tile_rngs.push_back(rng.split(static_cast<std::uint64_t>(t) + 1));
-
-    std::vector<double> tile_nf(tiles.size(), 0.0);
-    std::vector<std::uint8_t> tile_ok(tiles.size(), 1);
-    if (workers.size() < util::worker_count()) workers.resize(util::worker_count());
-
-    util::parallel_for_workers(
-        0, tiles.size(), [&](std::size_t w, std::size_t lo, std::size_t hi) {
-            TileWorker& tw = workers[w];
-            for (std::size_t t = lo; t < hi; ++t) {
-                const map::Tile& tile = tiles[t];
-                map::extract_tile_into(source, tile, n, tw.sub);
-                mapper.to_differential(tw.sub, tw.g_pos, tw.g_neg);
-                tw.ctx.begin_tile(tw.g_pos, tw.g_neg, tile_rngs[t]);
-                pipeline.run(tw.ctx);
-                tile_nf[t] = tw.ctx.nf;
-                tile_ok[t] = tw.ctx.converged;
-                mapper.from_differential_into(*tw.ctx.pos, *tw.ctx.neg,
-                                              tw.tile_w);
-                // Tiles partition the matrix, so concurrent scatters are
-                // write-disjoint.
-                map::scatter_tile(degraded, tile, tw.tile_w);
-            }
-        });
-
-    for (std::size_t t = 0; t < tiles.size(); ++t) {
-        stats.nf_sum += tile_nf[t];
-        ++stats.nf_tiles;
-        if (!tile_ok[t]) ++stats.unconverged;
-    }
-    stats.tiles += plan.tiling.count();
-
-    // R⁻¹ then T⁻¹.
-    if (config.rearrange) degraded = invert_columns(degraded, plan.rearrangement);
-    if (plan.use_compaction) return map::uncompact(plan.compaction, degraded);
-    return degraded;
 }
 
 // One mappable layer's cached mapping state, reused across repeats.
@@ -247,40 +180,136 @@ void finalize_nf(EvalResult& result) {
     result.nf_mean = nf_tiles ? nf_sum / static_cast<double>(nf_tiles) : 0.0;
 }
 
-// ---- lane-batched repeat evaluation (DESIGN.md §12) ----
-// One lane per Monte-Carlo repeat of a group: each tile's deterministic prep
-// (extract, differential split) runs once and is shared, the stochastic
-// stages run per lane on private copies with private RNG streams (draws
-// identical to degrade_model_matrices at that repeat's seed), and the
-// parasitic stage batches the circuit solves across lanes (xbar/solver.h).
-// Lane scratch persists across tiles and layers so a lane's warm chain
-// mirrors a one-repeat degrade's chain; between repeat groups the warm
-// state is dropped, so a repeat's chain never depends on which group it
-// rides in.
+// ---- the tile loop (DESIGN.md §12) ----
+// One lane per Monte-Carlo repeat; a single degrade is one lane. Each tile's
+// deterministic prep (extract, differential split into lane 0) runs once and
+// is copied to the other lanes, the stochastic stages run per lane with
+// private RNG streams, and the parasitic stage solves the lanes' circuits
+// together (xbar/solver.h). Lane scratch persists across tiles and layers,
+// so a lane's warm chain visits the tiles of its worker's chunk in order,
+// layer after layer — the same chain whatever lane count the repeat rides
+// in.
 struct BatchLane {
     Tensor g_pos, g_neg, tile_w;
     xbar::TileStageContext ctx;
 };
 
 struct BatchWorker {
-    Tensor sub;                 // shared extracted tile
-    Tensor base_pos, base_neg;  // shared pre-stochastic differential pair
+    Tensor sub;                                     // extracted tile
     std::vector<BatchLane> lanes;                   // one per repeat
     std::vector<xbar::TileStageContext*> ctx_ptrs;  // lane ctx view
-    // One batched solver workspace per group of kMaxSolveLanes lanes. Lane
-    // warm state lives here (circuit backend) or in each lane's ctx.ws
-    // (other backends' per-lane fallback).
-    std::vector<xbar::BatchedDegradeWorkspace> groups;
-
-    void ensure(std::size_t repeats) {
-        if (lanes.size() == repeats) return;
-        lanes.resize(repeats);
-        groups.resize((repeats + xbar::kMaxSolveLanes - 1) /
-                      static_cast<std::size_t>(xbar::kMaxSolveLanes));
-        ctx_ptrs.resize(repeats);
-        for (std::size_t r = 0; r < repeats; ++r) ctx_ptrs[r] = &lanes[r].ctx;
-    }
+    // The worker's one solver workspace: circuit lanes' warm state lives
+    // here (other backends keep their per-lane scratch in ctx.ws).
+    xbar::DegradeWorkspace ws;
 };
+
+// Everything the tile loop reuses across layers and repeat groups: the stage
+// list (built once, so the fast backend's calibration cache amortizes over
+// the whole run), one BatchWorker per pool slot, and the per-(lane, tile)
+// RNG / result slots.
+struct TileLoop {
+    TileLoop(const EvalConfig& config, std::size_t max_lanes)
+        : config(config),
+          pipeline(build_pipeline(config)),
+          workers(util::worker_count()) {
+        for (BatchWorker& bw : workers) {
+            bw.lanes.resize(max_lanes);
+            for (BatchLane& lane : bw.lanes) bw.ctx_ptrs.push_back(&lane.ctx);
+        }
+    }
+
+    // Start every lane's warm chain cold on the next degrade.
+    void restart_chains() {
+        for (BatchWorker& bw : workers) bw.ws.solve.invalidate();
+    }
+
+    const EvalConfig& config;
+    const xbar::TilePipeline pipeline;
+    std::vector<BatchWorker> workers;
+    std::vector<util::Rng> tile_rngs;  // lane-major: [rl·T + t]
+    std::vector<double> tile_nf;
+    std::vector<std::uint8_t> tile_ok;
+};
+
+// Degrade one MAC matrix's mapping target for `nl` repeat lanes
+// (tile→G→G′→W′; plan.unmap() then applies R⁻¹ and T⁻¹). Lane rl draws
+// tile t's stochastic stages from layer_rngs[rl].split(t + 1) —
+// deterministic regardless of the chunk partition — accumulates into
+// stats[rl] and writes its W′ to out[rl].
+// Warm-started solves do depend on the partition: the iteration stops on the
+// last sweep's update, so different warm-start chains can leave residuals
+// of order tolerance·ρ/(1−ρ) (ρ = contraction factor, ≤ ~1e-3 in the
+// physical wire regime — far below float resolution, but not a bit-for-bit
+// guarantee). config.warm_start_solves = false forces cold starts for
+// strict cross-machine reproducibility; unconverged warm solves are retried
+// cold inside xbar::degrade_tiles either way.
+void degrade_lanes(TileLoop& loop, const MatrixPlan& plan, const Tensor& matrix,
+                   double w_ref, util::Rng* layer_rngs, std::size_t nl,
+                   DegradeStats* stats, Tensor* out) {
+    const EvalConfig& config = loop.config;
+    const std::int64_t n = config.xbar.size;
+    const auto& tiles = plan.tiling.tiles;
+    const Tensor& source = plan.mapping_target(matrix);
+    const xbar::ConductanceMapper mapper(config.xbar.device, w_ref);
+    const std::size_t T = tiles.size();
+
+    loop.tile_rngs.clear();
+    loop.tile_rngs.reserve(nl * T);
+    for (std::size_t rl = 0; rl < nl; ++rl)
+        for (std::size_t t = 0; t < T; ++t)
+            loop.tile_rngs.push_back(
+                layer_rngs[rl].split(static_cast<std::uint64_t>(t) + 1));
+    loop.tile_nf.assign(nl * T, 0.0);
+    loop.tile_ok.assign(nl * T, 1);
+    // Scatter targets: tiles cover disjoint entries.
+    for (std::size_t rl = 0; rl < nl; ++rl) out[rl] = source;
+
+    util::parallel_for_workers(
+        0, T, [&](std::size_t w, std::size_t lo, std::size_t hi) {
+            BatchWorker& bw = loop.workers[w];
+            for (std::size_t t = lo; t < hi; ++t) {
+                const map::Tile& tile = tiles[t];
+                map::extract_tile_into(source, tile, n, bw.sub);
+                BatchLane& first = bw.lanes[0];
+                mapper.to_differential(bw.sub, first.g_pos, first.g_neg);
+                const std::size_t bytes =
+                    static_cast<std::size_t>(n * n) * sizeof(float);
+                for (std::size_t rl = 1; rl < nl; ++rl) {
+                    BatchLane& lane = bw.lanes[rl];
+                    lane.g_pos.reset(n, n);
+                    lane.g_neg.reset(n, n);
+                    std::memcpy(lane.g_pos.data(), first.g_pos.data(), bytes);
+                    std::memcpy(lane.g_neg.data(), first.g_neg.data(), bytes);
+                }
+                for (std::size_t rl = 0; rl < nl; ++rl) {
+                    BatchLane& lane = bw.lanes[rl];
+                    lane.ctx.begin_tile(lane.g_pos, lane.g_neg,
+                                        loop.tile_rngs[rl * T + t]);
+                }
+                loop.pipeline.run_batch(bw.ctx_ptrs.data(),
+                                        static_cast<int>(nl), bw.ws);
+                for (std::size_t rl = 0; rl < nl; ++rl) {
+                    BatchLane& lane = bw.lanes[rl];
+                    loop.tile_nf[rl * T + t] = lane.ctx.nf;
+                    loop.tile_ok[rl * T + t] = lane.ctx.converged;
+                    mapper.from_differential_into(*lane.ctx.pos,
+                                                  *lane.ctx.neg, lane.tile_w);
+                    // Tiles partition the matrix: write-disjoint.
+                    map::scatter_tile(out[rl], tile, lane.tile_w);
+                }
+            }
+        });
+
+    for (std::size_t rl = 0; rl < nl; ++rl) {
+        DegradeStats& ds = stats[rl];
+        for (std::size_t t = 0; t < T; ++t) {
+            ds.nf_sum += loop.tile_nf[rl * T + t];
+            ++ds.nf_tiles;
+            if (!loop.tile_ok[rl * T + t]) ++ds.unconverged;
+        }
+        ds.tiles += plan.tiling.count();
+    }
+}
 
 }  // namespace
 
@@ -288,10 +317,10 @@ Tensor degrade_mac_matrix(const Tensor& matrix, const EvalConfig& config,
                           double w_ref, util::Rng& rng, DegradeStats& stats) {
     tensor::check(w_ref > 0.0, "degrade_mac_matrix: w_ref must be positive");
     const MatrixPlan plan = build_matrix_plan(matrix, config);
-    const xbar::TilePipeline pipeline = build_pipeline(config);
-    TileWorkers workers;
-    return degrade_with_plan(plan, matrix, config, pipeline, w_ref, rng, stats,
-                             workers);
+    TileLoop loop(config, 1);
+    Tensor degraded;
+    degrade_lanes(loop, plan, matrix, w_ref, &rng, 1, &stats, &degraded);
+    return plan.unmap(std::move(degraded));
 }
 
 std::map<std::string, Tensor> degrade_model_matrices(
@@ -301,19 +330,18 @@ std::map<std::string, Tensor> degrade_model_matrices(
     XS_TRACE_SPAN("degrade_repeat");
     std::map<std::string, Tensor> result;
     const std::vector<LayerPlan> plans = build_layer_plans(model, config);
-    const xbar::TilePipeline pipeline = build_pipeline(config);
+    TileLoop loop(config, 1);
     util::Rng rng(config.seed);
     std::uint64_t layer_tag = 1;
-    TileWorkers workers;
 
     for (const LayerPlan& lp : plans) {
         util::Rng layer_rng = rng.split(layer_tag++);
         DegradeStats stats;
-        Tensor degraded =
-            degrade_with_plan(lp.plan, lp.matrix, config, pipeline, lp.w_ref,
-                              layer_rng, stats, workers);
+        Tensor degraded;
+        degrade_lanes(loop, lp.plan, lp.matrix, lp.w_ref, &layer_rng, 1,
+                      &stats, &degraded);
         if (layer_stats) layer_stats->push_back(layer_stats_of(lp, stats));
-        result.emplace(lp.layer->name(), std::move(degraded));
+        result.emplace(lp.layer->name(), lp.plan.unmap(std::move(degraded)));
     }
     return result;
 }
@@ -328,8 +356,6 @@ std::vector<EvalResult> evaluate_repeats_on_crossbars(
     tensor::check(engine.mappable_count() == plans.size(),
                   "evaluate_repeats_on_crossbars: engine/plan mappable-layer "
                   "mismatch");
-    const xbar::TilePipeline pipeline = build_pipeline(config);
-    const std::int64_t n = config.xbar.size;
 
     // Repeats ride in groups of half the solver's lane budget, so the
     // parasitic stage fuses each group's pos+neg solves into one full-width
@@ -341,14 +367,10 @@ std::vector<EvalResult> evaluate_repeats_on_crossbars(
     const std::size_t n_groups = (R + kGroupLanes - 1) / kGroupLanes;
 
     std::vector<nn::CompiledInstance> instances(R);
-    std::vector<std::vector<DegradeStats>> stats(
-        R, std::vector<DegradeStats>(plans.size()));
-    std::vector<BatchWorker> workers(util::worker_count());
-    for (BatchWorker& bw : workers) bw.ensure(kGroupLanes);
-    std::vector<Tensor> lane_work(kGroupLanes);  // per-lane scatter targets
-    std::vector<util::Rng> tile_rngs;  // group-lane-major: [rl·T + t]
-    std::vector<double> tile_nf;
-    std::vector<std::uint8_t> tile_ok;
+    std::vector<std::vector<DegradeStats>> stats(  // [layer][repeat]
+        plans.size(), std::vector<DegradeStats>(R));
+    TileLoop loop(config, kGroupLanes);
+    std::vector<util::Rng> layer_rngs(kGroupLanes);
 
     // Degrade + fold + pack repeats [g·kGroupLanes, …) into their compiled
     // instances. Groups run strictly one at a time (the pipeline below
@@ -363,99 +385,25 @@ std::vector<EvalResult> evaluate_repeats_on_crossbars(
         const std::size_t lane0 = g * kGroupLanes;
         const std::size_t nl = std::min(kGroupLanes, R - lane0);
         // Every repeat starts its warm chain cold regardless of which group
-        // it rides in (matching a lone run of that repeat): drop the
-        // previous group's converged voltages from the batched workspace and
-        // the per-lane scalar fallbacks.
-        for (BatchWorker& bw : workers) {
-            bw.groups[0].solve.invalidate();
-            bw.groups[0].retry.invalidate();
-            for (std::size_t rl = 0; rl < nl; ++rl)
-                bw.lanes[rl].ctx.ws.solve.invalidate();
-        }
+        // it rides in (matching a lone run of that repeat).
+        loop.restart_chains();
         for (std::size_t li = 0; li < plans.size(); ++li) {
             const LayerPlan& lp = plans[li];
-            const MatrixPlan& plan = lp.plan;
-            const auto& tiles = plan.tiling.tiles;
-            const Tensor& source = plan.mapping_target(lp.matrix);
-            const xbar::ConductanceMapper mapper(config.xbar.device, lp.w_ref);
-            const std::size_t T = tiles.size();
-
-            // Per-(repeat, tile) RNG streams, exactly degrade_model_matrices'
-            // Rng(seed).split(layer_tag).split(tile_tag) chain (split is
-            // non-mutating, so the chain is position-independent).
-            tile_rngs.clear();
-            tile_rngs.reserve(nl * T);
+            // Per-repeat layer streams, exactly degrade_model_matrices'
+            // Rng(seed).split(layer_tag) chain (split is non-mutating, so
+            // the chain is position-independent).
+            for (std::size_t rl = 0; rl < nl; ++rl)
+                layer_rngs[rl] = util::Rng(seeds[lane0 + rl])
+                                     .split(static_cast<std::uint64_t>(li) + 1);
+            std::vector<Tensor> lane_work(nl);  // per-lane W′
+            degrade_lanes(loop, lp.plan, lp.matrix, lp.w_ref,
+                          layer_rngs.data(), nl, &stats[li][lane0],
+                          lane_work.data());
+            // Unmap and fold straight into the packed instances one lane at
+            // a time, so one full-size W′ is live at once.
             for (std::size_t rl = 0; rl < nl; ++rl) {
-                util::Rng layer_rng = util::Rng(seeds[lane0 + rl])
-                                          .split(static_cast<std::uint64_t>(li) + 1);
-                for (std::size_t t = 0; t < T; ++t)
-                    tile_rngs.push_back(
-                        layer_rng.split(static_cast<std::uint64_t>(t) + 1));
-            }
-            tile_nf.assign(nl * T, 0.0);
-            tile_ok.assign(nl * T, 1);
-            for (std::size_t rl = 0; rl < nl; ++rl) {
-                lane_work[rl].reset(source.shape());
-                std::memcpy(lane_work[rl].data(), source.data(),
-                            static_cast<std::size_t>(source.numel()) *
-                                sizeof(float));
-            }
-
-            util::parallel_for_workers(
-                0, T, [&](std::size_t w, std::size_t lo, std::size_t hi) {
-                    BatchWorker& bw = workers[w];
-                    for (std::size_t t = lo; t < hi; ++t) {
-                        const map::Tile& tile = tiles[t];
-                        map::extract_tile_into(source, tile, n, bw.sub);
-                        mapper.to_differential(bw.sub, bw.base_pos,
-                                               bw.base_neg);
-                        const std::size_t bytes =
-                            static_cast<std::size_t>(n * n) * sizeof(float);
-                        for (std::size_t rl = 0; rl < nl; ++rl) {
-                            BatchLane& lane = bw.lanes[rl];
-                            lane.g_pos.reset(n, n);
-                            lane.g_neg.reset(n, n);
-                            std::memcpy(lane.g_pos.data(),
-                                        bw.base_pos.data(), bytes);
-                            std::memcpy(lane.g_neg.data(),
-                                        bw.base_neg.data(), bytes);
-                            lane.ctx.begin_tile(lane.g_pos, lane.g_neg,
-                                                tile_rngs[rl * T + t]);
-                        }
-                        pipeline.run_batch(bw.ctx_ptrs.data(),
-                                           static_cast<int>(nl),
-                                           bw.groups[0]);
-                        for (std::size_t rl = 0; rl < nl; ++rl) {
-                            BatchLane& lane = bw.lanes[rl];
-                            tile_nf[rl * T + t] = lane.ctx.nf;
-                            tile_ok[rl * T + t] = lane.ctx.converged;
-                            mapper.from_differential_into(
-                                *lane.ctx.pos, *lane.ctx.neg, lane.tile_w);
-                            // Tiles partition the matrix: write-disjoint.
-                            map::scatter_tile(lane_work[rl], tile,
-                                              lane.tile_w);
-                        }
-                    }
-                });
-
-            for (std::size_t rl = 0; rl < nl; ++rl) {
-                DegradeStats& ds = stats[lane0 + rl][li];
-                for (std::size_t t = 0; t < T; ++t) {
-                    ds.nf_sum += tile_nf[rl * T + t];
-                    ++ds.nf_tiles;
-                    if (!tile_ok[rl * T + t]) ++ds.unconverged;
-                }
-                ds.tiles += plan.tiling.count();
-            }
-
-            // R⁻¹ then T⁻¹, then fold straight into the packed instance.
-            for (std::size_t rl = 0; rl < nl; ++rl) {
-                Tensor mac = std::move(lane_work[rl]);
-                if (config.rearrange)
-                    mac = invert_columns(mac, plan.rearrangement);
-                if (plan.use_compaction)
-                    mac = map::uncompact(plan.compaction, mac);
-                engine.compile_instance_slot(li, &mac, instances[lane0 + rl]);
+                const Tensor w = lp.plan.unmap(std::move(lane_work[rl]));
+                engine.compile_instance_slot(li, &w, instances[lane0 + rl]);
             }
         }
     };
@@ -521,7 +469,7 @@ std::vector<EvalResult> evaluate_repeats_on_crossbars(
     std::vector<EvalResult> out(R);
     for (std::size_t r = 0; r < R; ++r) {
         for (std::size_t li = 0; li < plans.size(); ++li)
-            out[r].layers.push_back(layer_stats_of(plans[li], stats[r][li]));
+            out[r].layers.push_back(layer_stats_of(plans[li], stats[li][r]));
         out[r].accuracy = total ? 100.0 * static_cast<double>(correct[r]) /
                                       static_cast<double>(total)
                                 : 0.0;

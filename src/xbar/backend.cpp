@@ -35,17 +35,17 @@ CircuitBackend::CircuitBackend(const CrossbarConfig& config, bool warm_start)
 
 void CircuitBackend::degrade(const Tensor& g, DegradeWorkspace& ws,
                              TileDegradeResult& out) const {
-    XS_COUNT("xbar.circuit.tiles", 1);
-    if (!warm_start_) ws.solve.invalidate();
-    degrade_tile(g, solver_, ws, out);
+    const Tensor* gp = &g;
+    TileDegradeResult* op = &out;
+    degrade_batch(&gp, 1, ws, &op);
 }
 
 void CircuitBackend::degrade_batch(const Tensor* const* g, int lanes,
-                                   BatchedDegradeWorkspace& ws,
+                                   DegradeWorkspace& ws,
                                    TileDegradeResult* const* out) const {
     XS_COUNT("xbar.circuit.tiles", static_cast<std::uint64_t>(lanes));
     if (!warm_start_) ws.solve.invalidate();
-    degrade_tile_batched(g, lanes, solver_, ws, out);
+    degrade_tiles(g, lanes, solver_, ws, out);
 }
 
 namespace {
@@ -132,11 +132,12 @@ const FastBackend::Calibration& FastBackend::calibration_for(
     const std::vector<double> v_in(static_cast<std::size_t>(n),
                                    config_.parasitics.v_nom);
     SolveWorkspace solve_ws;
-    solver_.solve(g_cal, v_in.data(), solve_ws);
+    const Tensor* gp = &g_cal;
+    solver_.solve(&gp, 1, v_in.data(), solve_ws);
 
     auto cal = std::make_unique<Calibration>();
-    cal->sweeps = solve_ws.iterations;
-    cal->converged = solve_ws.converged;
+    cal->sweeps = solve_ws.iterations[0];
+    cal->converged = solve_ws.converged[0] != 0;
     cal->alpha = Tensor({n, n});
     const double inv_v = 1.0 / config_.parasitics.v_nom;
     float* a = cal->alpha.data();

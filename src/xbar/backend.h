@@ -69,12 +69,12 @@ public:
     void degrade(const tensor::Tensor& g, DegradeWorkspace& ws,
                  TileDegradeResult& out) const override;
 
-    // Degrade `lanes` (≤ kMaxSolveLanes) same-size tiles in one lane-batched
-    // solve. Lane r is bit-identical to degrade(g[r]) with the same warm
-    // state: in cold mode every lane restarts flat per call, in warm mode
-    // each lane carries its own warm chain across calls.
+    // Degrade `lanes` (≤ kMaxSolveLanes) same-size tiles in one solve;
+    // degrade() is its one-lane case. Lane r is bit-identical to degrade(g[r])
+    // with the same warm state: in cold mode every lane restarts flat per
+    // call, in warm mode each lane carries its own warm chain across calls.
     void degrade_batch(const tensor::Tensor* const* g, int lanes,
-                       BatchedDegradeWorkspace& ws,
+                       DegradeWorkspace& ws,
                        TileDegradeResult* const* out) const;
 
     const CircuitSolver& solver() const { return solver_; }

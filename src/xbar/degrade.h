@@ -22,13 +22,15 @@ struct TileDegradeResult {
     int sweeps = 0;         // relaxation sweeps the solve used
 };
 
-// Reusable scratch for degrade_tile: the circuit-solver workspace plus the
-// calibration input vector and the ideal-current buffer. One instance per
-// worker thread; reusing it across tiles keeps the steady state free of
-// heap allocations and lets the solver warm-start from the previous tile's
-// converged voltages (DESIGN.md §4).
+// Reusable scratch for degrade_tiles: the circuit-solver workspace, a
+// one-lane workspace for the deterministic cold retry of a lane whose warm
+// solve failed (grown only when a retry happens), and the calibration input
+// and ideal-current buffers. One instance per worker; reusing it across
+// tiles keeps the steady state free of heap allocations and lets every lane
+// warm-start from its previous tile's converged voltages (DESIGN.md §4).
 struct DegradeWorkspace {
     SolveWorkspace solve;
+    SolveWorkspace retry;
     std::vector<double> v_in;
     std::vector<double> ideal;
 };
@@ -42,31 +44,16 @@ struct DegradeWorkspace {
 TileDegradeResult degrade_tile(const tensor::Tensor& g,
                                const CrossbarConfig& config);
 
-// Zero-allocation variant for the tile pipeline: the caller owns the solver,
-// the workspace, and the result (whose g_eff storage is reused when already
-// tile-shaped). Steady state performs no heap allocation.
-void degrade_tile(const tensor::Tensor& g, const CircuitSolver& solver,
-                  DegradeWorkspace& ws, TileDegradeResult& out);
-
-// Scratch for degrade_tile_batched: the lane-batched solver workspace, a
-// scalar workspace for the deterministic cold retry of a lane whose warm
-// solve failed, and the shared calibration buffers.
-struct BatchedDegradeWorkspace {
-    BatchedSolveWorkspace solve;
-    SolveWorkspace retry;
-    std::vector<double> v_in;
-    std::vector<double> ideal;
-};
-
-// Degrade `lanes` (≤ kMaxSolveLanes) same-size tiles in one batched solve.
-// Lane r's g_eff / nf / converged / sweeps are bit-identical to a scalar
-// degrade_tile of g[r] with the same per-lane warm state, including the
-// cold-retry rule for a failed warm-started solve. out[r]'s g_eff storage is
-// reused when already tile-shaped, so steady state allocates nothing.
-void degrade_tile_batched(const tensor::Tensor* const* g, int lanes,
-                          const CircuitSolver& solver,
-                          BatchedDegradeWorkspace& ws,
-                          TileDegradeResult* const* out);
+// The one tile fold: degrade `lanes` (≤ kMaxSolveLanes) same-size tiles in
+// one circuit solve; a single tile is lanes = 1. Lane r's g_eff / nf /
+// converged / sweeps are bit-identical to a one-lane call on g[r] with the
+// same warm state. A warm-started lane that runs out of sweeps is retried
+// cold, so an unconverged result never depends on what the workspace
+// solved before. out[r]'s g_eff storage is reused when already tile-shaped,
+// so steady state allocates nothing.
+void degrade_tiles(const tensor::Tensor* const* g, int lanes,
+                   const CircuitSolver& solver, DegradeWorkspace& ws,
+                   TileDegradeResult* const* out);
 
 // NF = (I_ideal − I_nonideal) / I_ideal at the all-v_nom input, averaged over
 // columns with nonzero ideal current.

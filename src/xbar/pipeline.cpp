@@ -99,19 +99,19 @@ public:
         finish(ctx);
     }
 
-    // Batch the circuit solves across repeat lanes. When both differential
-    // arrays of every lane fit the solver's lane budget, pos and neg solve
-    // together in ONE call (pos in lanes [0,count), neg in [count,2·count)) —
-    // at count = 4 that fills all kMaxSolveLanes and the solver's per-lane
+    // Solve the circuit lanes together. When both differential arrays of
+    // every lane fit the solver's lane budget, pos and neg solve together in
+    // ONE call (pos in lanes [0,count), neg in [count,2·count)) — at
+    // count = 4 that fills all kMaxSolveLanes and the solver's per-lane
     // inner loops span a full 512-bit double vector. The solves are
-    // independent, so cold-start results stay bit-identical to the scalar
-    // path; warm starts then chain pos→pos and neg→neg per repeat lane
-    // instead of the scalar pos→neg interleave (differences far below float
-    // resolution, and only in the already-unpinned warm multi-repeat case —
-    // a single lane keeps the scalar chain order exactly).
+    // independent, so cold-start results stay bit-identical to one-lane
+    // solves; warm starts then chain pos→pos and neg→neg per repeat lane
+    // instead of the one-lane pos→neg interleave (differences far below
+    // float resolution, and only in the already-unpinned warm multi-repeat
+    // case — a single lane keeps the pos→neg chain order exactly).
     void apply_batch(TileStageContext* const* lanes, int count,
-                     BatchedDegradeWorkspace& ws) const override {
-        if (circuit_ == nullptr || count > kMaxSolveLanes) {
+                     DegradeWorkspace& ws) const override {
+        if (circuit_ == nullptr) {
             for (int r = 0; r < count; ++r) apply(*lanes[r]);
             return;
         }
@@ -179,21 +179,10 @@ void TilePipeline::add(std::unique_ptr<TileStage> stage) {
     stages_.push_back(std::move(stage));
 }
 
-void TilePipeline::run(TileStageContext& ctx) const {
-#if XS_TELEMETRY_ENABLED
-    XS_TIMER_NS("xbar.tile.ns");
-    for (std::size_t i = 0; i < stages_.size(); ++i) {
-        util::trace::Span span(stages_[i]->name());
-        util::metrics::ScopedTimerNs stage_timer(stage_timers_[i]);
-        stages_[i]->apply(ctx);
-    }
-#else
-    for (const auto& stage : stages_) stage->apply(ctx);
-#endif
-}
-
 void TilePipeline::run_batch(TileStageContext* const* lanes, int count,
-                             BatchedDegradeWorkspace& ws) const {
+                             DegradeWorkspace& ws) const {
+    tensor::check(count >= 1 && count <= kMaxSolveLanes,
+                  "TilePipeline: lane count out of range");
 #if XS_TELEMETRY_ENABLED
     XS_TIMER_NS("xbar.tile.ns");
     for (std::size_t i = 0; i < stages_.size(); ++i) {

@@ -10,10 +10,13 @@
 // the evaluator's tile loop.
 //
 // All mutable per-tile state lives in a TileStageContext owned by the
-// calling worker: stages transform the context's *active* differential pair
-// in place (the parasitic stage retargets the active pointers at its G′
-// buffers and exposes the pre-parasitic pair for the compensation stage).
-// After warm-up a worker's context performs no heap allocation, preserving
+// calling worker, one context per Monte-Carlo repeat lane: stages transform
+// the context's *active* differential pair in place (the parasitic stage
+// retargets the active pointers at its G′ buffers and exposes the
+// pre-parasitic pair for the compensation stage). TilePipeline::run_batch
+// applies the stages to a tile's lanes at once, so the circuit backend
+// solves them in one lane solve (xbar/solver.h); a single tile is one lane.
+// After warm-up a worker's contexts perform no heap allocation, preserving
 // the zero-allocation steady state of the solve pipeline (DESIGN.md §4).
 #pragma once
 
@@ -49,7 +52,9 @@ struct TileStageContext {
     double nf = 0.0;        // average NF over both arrays (parasitic stage)
     bool converged = true;  // circuit solves reached tolerance
 
-    // Worker-lifetime scratch (grown once, then reused).
+    // Worker-lifetime scratch (grown once, then reused). `ws` serves the
+    // per-lane backends (fast, ideal); circuit lanes solve in the caller's
+    // shared workspace instead, so its solver buffers stay empty.
     DegradeWorkspace ws;
     TileDegradeResult pos_result, neg_result;
     std::vector<double> col_before, col_after;  // compensation column sums
@@ -77,11 +82,11 @@ public:
     // Apply the stage to `count` per-repeat contexts of the same tile at
     // once. The default per-lane loop is correct for every stage (each lane
     // has its own RNG stream and buffers); the parasitic stage overrides it
-    // to batch the circuit solves across lanes. `ws` is the caller-owned
-    // batched solver scratch, live for the worker's lane group so per-lane
-    // warm chains persist across tiles exactly like the scalar workspace.
+    // to solve the circuit lanes together. `ws` is the caller-owned solver
+    // scratch, live for the worker's lane group so per-lane warm chains
+    // persist across tiles.
     virtual void apply_batch(TileStageContext* const* lanes, int count,
-                             BatchedDegradeWorkspace& ws) const {
+                             DegradeWorkspace& ws) const {
         (void)ws;
         for (int r = 0; r < count; ++r) apply(*lanes[r]);
     }
@@ -97,17 +102,14 @@ public:
     void set_backend(std::unique_ptr<CrossbarBackend> backend);
     void add(std::unique_ptr<TileStage> stage);
 
-    // Apply every stage in order to the context's active pair. Each stage is
-    // timed into an "xbar.stage.<name>.ns" histogram (registered once in
-    // add()) and wrapped in a trace span; the whole tile lands in
-    // "xbar.tile.ns".
-    void run(TileStageContext& ctx) const;
-
-    // Apply every stage to `count` per-repeat contexts of one tile, letting
-    // stages batch across the repeat lanes (one timer record covers the
-    // whole lane group). Lane r's outputs are bit-identical to run(ctx[r]).
+    // Apply every stage in order to `count` (≤ kMaxSolveLanes) per-repeat
+    // contexts of one tile (count = 1 for a single tile), letting stages
+    // batch across the repeat lanes. Each stage is timed into an "xbar.stage.<name>.ns" histogram
+    // (registered once in add()) and wrapped in a trace span; the whole lane
+    // group lands in one "xbar.tile.ns" record. Cold-started lane r is
+    // bit-identical to a one-lane run of the same context.
     void run_batch(TileStageContext* const* lanes, int count,
-                   BatchedDegradeWorkspace& ws) const;
+                   DegradeWorkspace& ws) const;
 
     std::size_t size() const { return stages_.size(); }
     const CrossbarBackend* backend() const { return backend_.get(); }

@@ -10,9 +10,9 @@ namespace xs::xbar {
 using tensor::check;
 using tensor::Tensor;
 
-// Independent tridiagonal chains processed simultaneously by the batched
-// kernel so their serial recurrences hide each other's FP latency. Sizes the
-// rhs scratch (kChainUnroll per-chain slices); see solve_batched_impl.
+// Independent tridiagonal chains processed simultaneously by the kernel so
+// their serial recurrences hide each other's FP latency. Sizes the rhs
+// scratch (kChainUnroll per-chain slices); see solve_lanes.
 inline constexpr int kChainUnroll = 4;
 
 namespace {
@@ -23,22 +23,25 @@ double safe_conductance(double resistance) {
     return resistance <= 0.0 ? 1e9 : 1.0 / resistance;
 }
 
-// Per-call parameters of a batched solve, captured once so the templated
-// kernel below does not need access to CircuitSolver internals.
-struct BatchedSolveParams {
+// Per-call parameters of a solve, captured once so the templated kernel
+// below does not need access to CircuitSolver internals.
+struct SolveParams {
     std::int64_t n;
     double gdrv, gwr, gwc, gsn;
     double omega, tolerance;
     int max_sweeps;
 };
 
-// Lane-templated kernel: L is a compile-time constant so every `for r < L`
-// loop unrolls/vectorizes into straight vector code. The arithmetic mirrors
-// CircuitSolver::solve expression-for-expression — each lane must produce
-// bit-identical results to a scalar solve, which the equivalence tests pin.
-// Lanes that converge freeze (their voltages stop updating) while the sweep
-// loop continues for the rest; a frozen lane's state is exactly the state
-// the scalar solve would have returned.
+// The line-relaxation kernel. L is a compile-time constant so every
+// `for r < L` loop unrolls/vectorizes into straight vector code; L = 1 is a
+// single solve. Every lane evaluates the same expressions in the same order
+// (solver.cpp is built with -ffp-contract=off, so no instantiation fuses a
+// multiply-add another one rounds twice), which makes lane r bit-identical
+// to a one-lane solve of the same tile — the property the repeat-batched
+// evaluator relies on, pinned by tests/xbar_solver_batched_test.cpp. Lanes
+// that converge freeze (their voltages stop updating) while the sweep loop
+// continues for the rest; a frozen lane's state is exactly the state its
+// one-lane solve would have returned.
 //
 // Chains are processed kChainUnroll at a time. Each chain's recurrence is a
 // serial dependency (step j needs step j-1, a division chain in the
@@ -48,9 +51,8 @@ struct BatchedSolveParams {
 // untouched; only the order *across* chains changes, and chains within a
 // half-sweep neither read nor write each other's state.
 template <int L>
-void solve_batched_impl(const BatchedSolveParams& p,
-                        const tensor::Tensor* const* g, const double* v_in,
-                        BatchedSolveWorkspace& ws) {
+void solve_lanes(const SolveParams& p, const tensor::Tensor* const* g,
+                 const double* v_in, SolveWorkspace& ws) {
     const std::int64_t n = p.n;
     const double gdrv = p.gdrv, gwr = p.gwr, gwc = p.gwc, gsn = p.gsn;
     constexpr int CU = kChainUnroll;
@@ -304,9 +306,7 @@ void solve_batched_impl(const BatchedSolveParams& p,
 
         for (int r = 0; r < L; ++r) {
             if (!active[r]) continue;
-            // Matches the scalar bookkeeping: on the convergence sweep the
-            // scalar loop executes `++sweep; break`, so iterations counts
-            // the sweep that met tolerance.
+            // iterations counts the sweep that met tolerance.
             ws.iterations[r] = sweep + 1;
             ws.max_delta[r] = sweep_delta[r];
             if (sweep_delta[r] < p.tolerance) {
@@ -324,25 +324,7 @@ void solve_batched_impl(const BatchedSolveParams& p,
 
 }  // namespace
 
-void SolveWorkspace::ensure(std::int64_t size) {
-    if (n == size) return;
-    const auto nn = static_cast<std::size_t>(size * size);
-    const auto ns = static_cast<std::size_t>(size);
-    vr.resize(nn);
-    vc.resize(nn);
-    g_row.resize(nn);
-    g_col.resize(nn);
-    row_m.resize(nn);
-    row_inv_d.resize(nn);
-    col_m.resize(nn);
-    col_inv_d.resize(nn);
-    rhs.resize(ns);
-    currents.resize(ns);
-    n = size;
-    warm = false;
-}
-
-void BatchedSolveWorkspace::ensure(std::int64_t size, int lane_count) {
+void SolveWorkspace::ensure(std::int64_t size, int lane_count) {
     if (n == size && lanes == lane_count) return;
     const auto nn = static_cast<std::size_t>(size * size * lane_count);
     const auto ns = static_cast<std::size_t>(size * lane_count);
@@ -388,14 +370,17 @@ std::vector<double> CircuitSolver::ideal_currents(
     return out;
 }
 
-bool CircuitSolver::solve(const Tensor& g, const double* v_in,
-                          SolveWorkspace& ws) const {
+void CircuitSolver::solve(const Tensor* const* g, int lanes,
+                          const double* v_in, SolveWorkspace& ws) const {
     const std::int64_t n = config_.size;
-    check(g.rank() == 2 && g.dim(0) == n && g.dim(1) == n,
-          "CircuitSolver: conductance matrix shape mismatch");
-    ws.ensure(n);
+    check(lanes >= 1 && lanes <= kMaxSolveLanes,
+          "CircuitSolver: lane count out of range");
+    for (int r = 0; r < lanes; ++r)
+        check(g[r]->rank() == 2 && g[r]->dim(0) == n && g[r]->dim(1) == n,
+              "CircuitSolver: conductance matrix shape mismatch");
+    ws.ensure(n, lanes);
     XS_TIMER_NS("xbar.solve.ns");
-    XS_COUNT("xbar.solve.solves", 1);
+    XS_COUNT("xbar.solve.solves", static_cast<std::uint64_t>(lanes));
 #if XS_TELEMETRY_ENABLED
     // Handles hoisted out of their conditions: a branch-local XS_COUNT
     // would register (and allocate) on the first *taken* branch, breaking
@@ -405,174 +390,21 @@ bool CircuitSolver::solve(const Tensor& g, const double* v_in,
         util::metrics::counter("xbar.solve.warm_starts");
     static const util::metrics::Counter unconverged =
         util::metrics::counter("xbar.solve.unconverged");
-    if (ws.warm) warm_starts.add(1);
-#endif
-
-    const double gdrv = g_driver_, gwr = g_wire_row_, gwc = g_wire_col_,
-                 gsn = g_sense_;
-
-    // Promote the device conductances to double, row- and column-major, so
-    // the sweeps below touch contiguous memory in both directions.
-    const float* gf = g.data();
-    double* gr = ws.g_row.data();
-    double* gc = ws.g_col.data();
-    for (std::int64_t i = 0; i < n; ++i) {
-        const float* src = gf + i * n;
-        double* dst = gr + i * n;
-        for (std::int64_t j = 0; j < n; ++j) {
-            const double v = src[j];
-            dst[j] = v;
-            gc[j * n + i] = v;
-        }
-    }
-
-    // Factor every chain's tridiagonal matrix once (it is constant across
-    // sweeps; only the right-hand side changes). For a chain with diagonal
-    // d_k and constant off-diagonal -w, forward elimination gives
-    // m_k = -w / d'_{k-1}, d'_k = d_k + m_k·w; we store m_k and 1/d'_k so a
-    // sweep is pure multiply-adds.
-    for (std::int64_t i = 0; i < n; ++i) {
-        const double* grow = gr + i * n;
-        double* m = ws.row_m.data() + i * n;
-        double* inv = ws.row_inv_d.data() + i * n;
-        double d = gdrv + (n > 1 ? gwr : 0.0) + grow[0];
-        m[0] = 0.0;
-        inv[0] = 1.0 / d;
-        for (std::int64_t j = 1; j < n; ++j) {
-            const double mj = -gwr * inv[j - 1];
-            d = gwr + (j + 1 < n ? gwr : 0.0) + grow[j] + mj * gwr;
-            m[j] = mj;
-            inv[j] = 1.0 / d;
-        }
-    }
-    for (std::int64_t j = 0; j < n; ++j) {
-        const double* gcol = gc + j * n;
-        double* m = ws.col_m.data() + j * n;
-        double* inv = ws.col_inv_d.data() + j * n;
-        double d = (n > 1 ? gwc : gsn) + gcol[0];
-        m[0] = 0.0;
-        inv[0] = 1.0 / d;
-        for (std::int64_t i = 1; i < n; ++i) {
-            const double mi = -gwc * inv[i - 1];
-            d = gwc + (i + 1 < n ? gwc : gsn) + gcol[i] + mi * gwc;
-            m[i] = mi;
-            inv[i] = 1.0 / d;
-        }
-    }
-
-    double* vr = ws.vr.data();
-    double* vc = ws.vc.data();
-    if (!ws.warm) {
-        // Initial guess: rows at their source voltage, columns at ground.
-        for (std::int64_t i = 0; i < n; ++i) {
-            const double vi = v_in[i];
-            double* row = vr + i * n;
-            for (std::int64_t j = 0; j < n; ++j) row[j] = vi;
-        }
-        std::fill(vc, vc + n * n, 0.0);
-    }
-
-    const double omega = omega_;
-    double* r = ws.rhs.data();
-    double max_delta = 0.0;
-    int sweep = 0;
-    for (; sweep < max_sweeps_; ++sweep) {
-        max_delta = 0.0;
-
-        // Row chains: unknowns V_r(i, 0..n-1) with V_c frozen.
-        for (std::int64_t i = 0; i < n; ++i) {
-            const double* grow = gr + i * n;
-            const double* m = ws.row_m.data() + i * n;
-            const double* inv = ws.row_inv_d.data() + i * n;
-            double* vri = vr + i * n;
-            const double* vci = vc + i * n;
-            r[0] = grow[0] * vci[0] + gdrv * v_in[i];
-            for (std::int64_t j = 1; j < n; ++j)
-                r[j] = grow[j] * vci[j] - m[j] * r[j - 1];
-            r[n - 1] *= inv[n - 1];
-            for (std::int64_t j = n - 2; j >= 0; --j)
-                r[j] = (r[j] + gwr * r[j + 1]) * inv[j];
-            for (std::int64_t j = 0; j < n; ++j) {
-                const double d = r[j] - vri[j];
-                max_delta = std::max(max_delta, std::fabs(d));
-                vri[j] += omega * d;
-            }
-        }
-
-        // Column chains: unknowns V_c(0..n-1, j) with V_r frozen. The bottom
-        // node's sense conductance couples to ground (0 V): no rhs term.
-        for (std::int64_t j = 0; j < n; ++j) {
-            const double* gcol = gc + j * n;
-            const double* m = ws.col_m.data() + j * n;
-            const double* inv = ws.col_inv_d.data() + j * n;
-            r[0] = gcol[0] * vr[j];
-            for (std::int64_t i = 1; i < n; ++i)
-                r[i] = gcol[i] * vr[i * n + j] - m[i] * r[i - 1];
-            r[n - 1] *= inv[n - 1];
-            for (std::int64_t i = n - 2; i >= 0; --i)
-                r[i] = (r[i] + gwc * r[i + 1]) * inv[i];
-            for (std::int64_t i = 0; i < n; ++i) {
-                double& v = vc[i * n + j];
-                const double d = r[i] - v;
-                max_delta = std::max(max_delta, std::fabs(d));
-                v += omega * d;
-            }
-        }
-
-        if (max_delta < tolerance_) {
-            ++sweep;
-            break;
-        }
-    }
-
-    ws.iterations = sweep;
-    ws.max_delta = max_delta;
-    ws.converged = max_delta < tolerance_;
-    XS_COUNT("xbar.solve.sweeps", static_cast<std::uint64_t>(sweep));
-#if XS_TELEMETRY_ENABLED
-    if (!ws.converged) unconverged.add(1);
-#endif
-    // Only a converged field is worth warm-starting from; after a failed
-    // solve the next one restarts cold, so bad state never propagates.
-    ws.warm = ws.converged;
-    for (std::int64_t j = 0; j < n; ++j)
-        ws.currents[static_cast<std::size_t>(j)] = vc[(n - 1) * n + j] * gsn;
-    return ws.converged;
-}
-
-void CircuitSolver::solve_batched(const Tensor* const* g, int lanes,
-                                  const double* v_in,
-                                  BatchedSolveWorkspace& ws) const {
-    const std::int64_t n = config_.size;
-    check(lanes >= 1 && lanes <= kMaxSolveLanes,
-          "CircuitSolver: batched lane count out of range");
-    for (int r = 0; r < lanes; ++r)
-        check(g[r]->rank() == 2 && g[r]->dim(0) == n && g[r]->dim(1) == n,
-              "CircuitSolver: conductance matrix shape mismatch");
-    ws.ensure(n, lanes);
-    XS_TIMER_NS("xbar.solve.ns");
-    XS_COUNT("xbar.solve.solves", static_cast<std::uint64_t>(lanes));
-#if XS_TELEMETRY_ENABLED
-    static const util::metrics::Counter warm_starts =
-        util::metrics::counter("xbar.solve.warm_starts");
-    static const util::metrics::Counter unconverged =
-        util::metrics::counter("xbar.solve.unconverged");
     for (int r = 0; r < lanes; ++r)
         if (ws.warm[r]) warm_starts.add(1);
 #endif
 
-    const BatchedSolveParams p{n,           g_driver_, g_wire_row_,
-                               g_wire_col_, g_sense_,  omega_,
-                               tolerance_,  max_sweeps_};
+    const SolveParams p{n, g_driver_, g_wire_row_, g_wire_col_,
+                        g_sense_, omega_, tolerance_, max_sweeps_};
     switch (lanes) {
-        case 1: solve_batched_impl<1>(p, g, v_in, ws); break;
-        case 2: solve_batched_impl<2>(p, g, v_in, ws); break;
-        case 3: solve_batched_impl<3>(p, g, v_in, ws); break;
-        case 4: solve_batched_impl<4>(p, g, v_in, ws); break;
-        case 5: solve_batched_impl<5>(p, g, v_in, ws); break;
-        case 6: solve_batched_impl<6>(p, g, v_in, ws); break;
-        case 7: solve_batched_impl<7>(p, g, v_in, ws); break;
-        case 8: solve_batched_impl<8>(p, g, v_in, ws); break;
+        case 1: solve_lanes<1>(p, g, v_in, ws); break;
+        case 2: solve_lanes<2>(p, g, v_in, ws); break;
+        case 3: solve_lanes<3>(p, g, v_in, ws); break;
+        case 4: solve_lanes<4>(p, g, v_in, ws); break;
+        case 5: solve_lanes<5>(p, g, v_in, ws); break;
+        case 6: solve_lanes<6>(p, g, v_in, ws); break;
+        case 7: solve_lanes<7>(p, g, v_in, ws); break;
+        case 8: solve_lanes<8>(p, g, v_in, ws); break;
         default: break;
     }
 
@@ -596,7 +428,8 @@ SolveResult CircuitSolver::solve(const Tensor& g,
     // (no warm-start) so results never depend on unrelated earlier solves.
     static thread_local SolveWorkspace ws;
     ws.invalidate();
-    solve(g, v_in.data(), ws);
+    const Tensor* gp = &g;
+    solve(&gp, 1, v_in.data(), ws);
 
     SolveResult result;
     result.v_row = Tensor({n, n});
@@ -607,9 +440,9 @@ SolveResult CircuitSolver::solve(const Tensor& g,
             result.v_col.at(i, j) = static_cast<float>(ws.vc[static_cast<std::size_t>(i * n + j)]);
         }
     result.currents.assign(ws.currents.begin(), ws.currents.end());
-    result.iterations = ws.iterations;
-    result.max_delta = ws.max_delta;
-    result.converged = ws.converged;
+    result.iterations = ws.iterations[0];
+    result.max_delta = ws.max_delta[0];
+    result.converged = ws.converged[0] != 0;
     return result;
 }
 

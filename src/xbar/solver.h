@@ -12,12 +12,14 @@
 // point Gauss–Seidel on the same 2·X² system. A dense Gaussian-elimination
 // reference (solve_dense) validates it in the test suite.
 //
-// The hot entry point is the SolveWorkspace overload (DESIGN.md §4): each
-// chain's tridiagonal factorization is computed once per solve and reused
-// across sweeps, all scratch lives in a caller-owned workspace so the steady
-// state performs no heap allocation, and the previous converged voltages can
-// warm-start the next solve. Optional SOR over-relaxation is available via
-// set_relaxation().
+// There is one relaxation kernel (DESIGN.md §4). It solves `lanes`
+// (≤ kMaxSolveLanes) independent same-size systems in one pass, vectorizing
+// the chain recurrences across lanes; a single solve is its one-lane case.
+// Each chain's tridiagonal factorization is computed once per solve and
+// reused across sweeps, all scratch lives in a caller-owned workspace so the
+// steady state performs no heap allocation, and the previous converged
+// voltages can warm-start the next solve. Optional SOR over-relaxation is
+// available via set_relaxation().
 #pragma once
 
 #include "tensor/tensor.h"
@@ -27,65 +29,38 @@
 
 namespace xs::xbar {
 
-// Reusable scratch for CircuitSolver::solve. Buffers grow on demand and are
-// never shrunk; after the first solve of a given size, subsequent solves of
-// the same size perform zero heap allocations. `vr`/`vc` double as the
-// warm-start state: when `warm` is true and the size matches, the next solve
-// iterates from the previous converged voltages instead of the flat initial
-// guess (a large win across Monte-Carlo repeats and neighbouring tiles,
-// whose conductance fields are statistically similar).
-struct SolveWorkspace {
-    // Node voltages, row-major X×X, double precision (float storage would
-    // stall convergence). Valid after a solve; inputs when warm.
-    std::vector<double> vr, vc;
-    // Sensed per-column output currents (A). Valid after a solve.
-    std::vector<double> currents;
-
-    // Per-solve internals: device conductances promoted to double (row- and
-    // column-major) and the precomputed Thomas factors of every row/column
-    // chain (forward multipliers `m` and reciprocal pivots `inv_d`).
-    std::vector<double> g_row, g_col;
-    std::vector<double> row_m, row_inv_d;
-    std::vector<double> col_m, col_inv_d;
-    std::vector<double> rhs;
-
-    std::int64_t n = 0;   // provisioned size
-    bool warm = false;    // vr/vc hold a previous solution of size n
-
-    // Outputs of the last solve.
-    int iterations = 0;
-    double max_delta = 0.0;
-    bool converged = false;
-
-    // Provision all buffers for size `size`; drops warm state on resize.
-    void ensure(std::int64_t size);
-    // Force the next solve to start from the flat initial guess.
-    void invalidate() { warm = false; }
-};
-
-// Upper bound on the lanes one batched solve processes; callers chunk larger
+// Upper bound on the lanes one solve processes; callers chunk larger
 // repeat counts into groups of this size. Eight doubles fill one AVX-512
-// vector (two AVX2 vectors), so the lane loops below vectorize fully.
+// vector (two AVX2 vectors), so the lane loops vectorize fully.
 inline constexpr int kMaxSolveLanes = 8;
 
-// Reusable scratch for CircuitSolver::solve_batched: `lanes` independent
-// same-size systems solved together, with every buffer lane-interleaved
-// (entry k of lane r lives at index k·lanes + r) so the per-lane inner loops
-// are unit-stride vector operations. Warm-start state is per lane: lane r of
-// the next batch iterates from lane r's previous converged voltages, giving
-// each Monte-Carlo repeat the same warm chain it would have had solving
-// alone.
-struct BatchedSolveWorkspace {
-    std::vector<double> vr, vc;    // node voltages, lane-interleaved
-    std::vector<double> currents;  // per-column sensed currents, n×lanes
+// Reusable scratch for CircuitSolver::solve: `lanes` independent same-size
+// systems, with every buffer lane-interleaved (entry k of lane r lives at
+// index k·lanes + r) so the per-lane inner loops are unit-stride vector
+// operations. With one lane the layout is plain row-major. Buffers grow on
+// demand and are never shrunk; after the first solve of a given (size,
+// lanes), later solves perform zero heap allocations.
+//
+// `vr`/`vc` double as the warm-start state, per lane: lane r of the next
+// solve iterates from lane r's previous converged voltages instead of the
+// flat initial guess (a large win across Monte-Carlo repeats and
+// neighbouring tiles, whose conductance fields are statistically similar),
+// so each repeat keeps the warm chain it would have had solving alone.
+struct SolveWorkspace {
+    // Node voltages, X×X row-major and lane-interleaved, double precision
+    // (float storage would stall convergence). Valid after a solve; inputs
+    // when warm.
+    std::vector<double> vr, vc;
+    // Sensed per-column output currents (A), X×lanes. Valid after a solve.
+    std::vector<double> currents;
 
-    // Per-solve internals (see SolveWorkspace). Unlike the scalar
-    // workspace, only the reciprocal pivots are stored: the sweep kernel is
-    // bandwidth-bound, and the forward multiplier m_k = -gw · inv_d_{k-1}
-    // is one multiply away from data the back-substitution streams anyway —
-    // recomputing it drops a whole factor array from every sweep. There is
-    // also no transposed g copy: lane-major layout puts each element on its
-    // own cacheline, so the column half-sweep strides through g_row.
+    // Per-solve internals: device conductances promoted to double and the
+    // reciprocal Thomas pivots of every row/column chain. The forward
+    // multiplier m_k = -gw · inv_d_{k-1} is recomputed rather than stored:
+    // the sweep is bandwidth-bound, and the back-substitution streams inv_d
+    // anyway. There is no transposed g copy either: lane-major layout puts
+    // each (i,j) on its own cacheline, so the column half-sweep strides
+    // through g_row.
     std::vector<double> g_row;
     std::vector<double> row_inv_d, col_inv_d;
     std::vector<double> rhs;
@@ -95,8 +70,8 @@ struct BatchedSolveWorkspace {
 
     // Per-lane warm-start validity and last-solve outputs.
     std::uint8_t warm[kMaxSolveLanes] = {};
-    int iterations[kMaxSolveLanes] = {};
-    double max_delta[kMaxSolveLanes] = {};
+    int iterations[kMaxSolveLanes] = {};     // relaxation sweeps used
+    double max_delta[kMaxSolveLanes] = {};   // final sweep's largest update
     std::uint8_t converged[kMaxSolveLanes] = {};
 
     // Provision for (size × lane_count); drops all warm state on change.
@@ -121,24 +96,20 @@ public:
     explicit CircuitSolver(const CrossbarConfig& config);
 
     // Solve node voltages/currents for conductances `g` (X×X, siemens) and
-    // input voltages `v_in` (X). Parasitic resistances of exactly zero are
-    // treated as near-ideal (1 nΩ) conductors.
+    // input voltages `v_in` (X), cold-started. Parasitic resistances of
+    // exactly zero are treated as near-ideal (1 nΩ) conductors.
     SolveResult solve(const tensor::Tensor& g, const std::vector<double>& v_in) const;
 
-    // Zero-allocation variant: results land in ws.vr / ws.vc / ws.currents
-    // (plus ws.iterations / ws.max_delta / ws.converged). Returns the
-    // converged flag. Warm-starts from ws when it holds a same-size solution.
-    bool solve(const tensor::Tensor& g, const double* v_in,
-               SolveWorkspace& ws) const;
-
     // Solve `lanes` (≤ kMaxSolveLanes) independent conductance fields that
-    // share the same input voltages in one pass, vectorizing the chain
-    // recurrences across lanes. Each lane runs the identical sweep sequence
-    // as the scalar overload and freezes at its own convergence sweep, so
-    // lane r's voltages, currents, iteration count, and convergence flag are
-    // bit-identical to a scalar solve of g[r] with the same warm state.
-    void solve_batched(const tensor::Tensor* const* g, int lanes,
-                       const double* v_in, BatchedSolveWorkspace& ws) const;
+    // share the same input voltages in one pass; results land in ws.vr /
+    // ws.vc / ws.currents (plus the per-lane iterations / max_delta /
+    // converged). Lane r warm-starts from ws when it holds a same-size,
+    // same-lane-count solution. Every lane runs the identical sweep sequence
+    // and freezes at its own convergence sweep, so lane r's voltages,
+    // currents, iteration count and convergence flag are bit-identical to a
+    // one-lane solve of g[r] with the same warm state.
+    void solve(const tensor::Tensor* const* g, int lanes, const double* v_in,
+               SolveWorkspace& ws) const;
 
     // Parasitic-free dot product I_j = Σ_i G_ij · V_i.
     std::vector<double> ideal_currents(const tensor::Tensor& g,

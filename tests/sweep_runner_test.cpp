@@ -176,9 +176,9 @@ TEST(SweepRunner, AggregateCsvInvariantToRepeatBatching) {
     // a partially-resumed group. Per-repeat FNV seeding plus cold-start
     // solves make every batched lane bit-identical to its one-cell unit.
     // The per-cell results must agree too, field by field, bit for bit
-    // (everything except the wall-clock timing). Repeat counts: 1 hits the
-    // scalar-lane fallback, 3 a partial group, 8 two full groups through
-    // the evaluator's producer/consumer pipeline.
+    // (everything except the wall-clock timing). Repeat counts: 1 runs a
+    // single lane, 3 a partial group, 8 two full groups through the
+    // evaluator's producer/consumer pipeline.
     for (const std::int64_t repeats : {1, 3, 8}) {
         SCOPED_TRACE("repeats=" + std::to_string(repeats));
         const std::string tag = "rb" + std::to_string(repeats);

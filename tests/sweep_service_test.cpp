@@ -25,9 +25,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -146,6 +148,20 @@ const std::string& baseline_many_csv() {
     }();
     EXPECT_FALSE(csv.empty());
     return csv;
+}
+
+// Complete manifest lines recording a finished (not quarantined) cell.
+int count_ok_records(const std::string& manifest) {
+    int n = 0;
+    std::size_t start = 0;
+    for (auto end = manifest.find('\n'); end != std::string::npos;
+         start = end + 1, end = manifest.find('\n', start)) {
+        const std::string line = manifest.substr(start, end - start);
+        if (line.find("\"cell\":\"") != std::string::npos &&
+            line.find("\"status\"") == std::string::npos)
+            ++n;
+    }
+    return n;
 }
 
 int count_occurrences(const std::string& hay, const std::string& needle) {
@@ -315,25 +331,49 @@ TEST(SweepService, HostKilledMidCellHasItsLeaseReDealt) {
 // (machine load decides whether a raw frame ordinal is an ack or an idle
 // heartbeat — the ack ordinal is deterministic), and reconnect on a 10 ms
 // backoff so the rejoin lands while the sweep still has cells to deal.
-TEST(SweepService, TornFrameDropsTheHostAndTheSweepRecovers) {
-    baseline_many_csv();
+//
+// The service runs on a thread and the healthy agent joins only once the
+// manifest holds two results. The faulted host is alone until then, so its
+// second result can only have landed by replay after its rejoin: it has
+// joined twice, and the healthy host can no longer finish the grid before
+// the fault fires (with both agents started together, a late-booting
+// faulted worker left hosts_joined at 2 in about one run in ten).
+SweepSummary run_reconnect_sweep(const std::string& fault,
+                                 const std::string& tag,
+                                 std::vector<AgentProc>& agents) {
     int port = 0;
     const ServiceOptions svc = fast_svc(port);
+    const std::vector<std::string> grid = many_args();
+    agents.emplace_back(spawn_agent(port, 1, fault, "", &grid, "10"));
+
+    SweepOptions opts;
+    opts.csv_name = tag + ".csv";
+    opts.manifest_name = tag + ".jsonl";
+    const std::string manifest = ctx().csv_path(opts.manifest_name);
+    std::filesystem::remove(manifest);
+    std::future<SweepSummary> service = std::async(std::launch::async, [&] {
+        return run_service(ctx(), many_spec(), opts, svc);
+    });
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(120);
+    while (count_ok_records(slurp(manifest)) < 2 &&
+           service.wait_for(std::chrono::milliseconds(5)) !=
+               std::future_status::ready &&
+           std::chrono::steady_clock::now() < deadline) {
+    }
+    agents.emplace_back(spawn_agent(port, 1, "", "", &grid));
+    return service.get();
+}
+
+TEST(SweepService, TornFrameDropsTheHostAndTheSweepRecovers) {
+    baseline_many_csv();
     // One agent's second ack is torn in half and its connection severed.
     // The service must read the torn prefix as a dead host, never as a
     // frame; the agent parks the ack in its outbox, reconnects with a
     // fresh join, and replays it.
-    const std::vector<std::string> grid = many_args();
     std::vector<AgentProc> agents;
-    agents.emplace_back(spawn_agent(port, 1,
-                                    "net-partial-write@net-send-ack:1",
-                                    "", &grid, "10"));
-    agents.emplace_back(spawn_agent(port, 1, "", "", &grid));
-
-    SweepOptions opts;
-    opts.csv_name = "svc_torn.csv";
-    opts.manifest_name = "svc_torn.jsonl";
-    const SweepSummary summary = run_service(ctx(), many_spec(), opts, svc);
+    const SweepSummary summary = run_reconnect_sweep(
+        "net-partial-write@net-send-ack:1", "svc_torn", agents);
     EXPECT_EQ(summary.cells_executed, 12);
     EXPECT_EQ(summary.cells_failed, 0);
     EXPECT_GE(summary.hosts_joined, 3);  // 2 hosts + at least one rejoin
@@ -343,22 +383,13 @@ TEST(SweepService, TornFrameDropsTheHostAndTheSweepRecovers) {
 
 TEST(SweepService, DisconnectedAgentReconnectsAndReplaysItsOutbox) {
     baseline_many_csv();
-    int port = 0;
-    const ServiceOptions svc = fast_svc(port);
     // One agent's connection severs as it sends its second ack, without a
     // byte written (a network blip): the ack is parked in its outbox and
     // replayed after the reconnect handshake. The service either records
     // it (cell still unrecorded) or dedups it — both keep the CSV bytes.
-    const std::vector<std::string> grid = many_args();
     std::vector<AgentProc> agents;
-    agents.emplace_back(spawn_agent(port, 1, "net-disconnect@net-send-ack:1",
-                                    "", &grid, "10"));
-    agents.emplace_back(spawn_agent(port, 1, "", "", &grid));
-
-    SweepOptions opts;
-    opts.csv_name = "svc_blip.csv";
-    opts.manifest_name = "svc_blip.jsonl";
-    const SweepSummary summary = run_service(ctx(), many_spec(), opts, svc);
+    const SweepSummary summary = run_reconnect_sweep(
+        "net-disconnect@net-send-ack:1", "svc_blip", agents);
     EXPECT_EQ(summary.cells_executed, 12);
     EXPECT_EQ(summary.cells_failed, 0);
     EXPECT_GE(summary.hosts_joined, 3);  // 2 hosts + at least one rejoin

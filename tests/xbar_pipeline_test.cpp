@@ -205,10 +205,16 @@ Tensor reference_degrade(const Tensor& matrix, const map::Tiling& tiling,
                                tile_rngs[t]);
         }
         if (config.include_parasitics) {
-            ws.solve.invalidate();  // config.warm_start_solves = false
-            degrade_tile(g_pos, solver, ws, pos);
+            // config.warm_start_solves = false: each array solves cold, as
+            // a one-lane degrade.
+            const Tensor* gp = &g_pos;
+            TileDegradeResult* op = &pos;
             ws.solve.invalidate();
-            degrade_tile(g_neg, solver, ws, neg);
+            degrade_tiles(&gp, 1, solver, ws, &op);
+            gp = &g_neg;
+            op = &neg;
+            ws.solve.invalidate();
+            degrade_tiles(&gp, 1, solver, ws, &op);
             if (config.compensate_columns) {
                 reference_compensate(pos.g_eff, g_pos, n);
                 reference_compensate(neg.g_eff, g_neg, n);
@@ -279,6 +285,8 @@ TEST(PipelineAllocation, CircuitSteadyStateAllocatesNothing) {
     Tensor pos, neg;
     util::Rng rng(8);
     TileStageContext ctx;
+    TileStageContext* lanes[1] = {&ctx};
+    DegradeWorkspace ws;
     const ConductanceMapper mapper(spec.xbar.device, 1.0);
     Tensor w({32, 32});
     tensor::fill_normal(w, rng, 0.0f, 0.3f);
@@ -286,13 +294,13 @@ TEST(PipelineAllocation, CircuitSteadyStateAllocatesNothing) {
     // column sums).
     mapper.to_differential(w, pos, neg);
     ctx.begin_tile(pos, neg, rng);
-    pipeline.run(ctx);
+    pipeline.run_batch(lanes, 1, ws);
 
     const long before = g_alloc_count.load();
     for (int rep = 0; rep < 10; ++rep) {
         mapper.to_differential(w, pos, neg);
         ctx.begin_tile(pos, neg, rng);
-        pipeline.run(ctx);
+        pipeline.run_batch(lanes, 1, ws);
     }
     EXPECT_EQ(g_alloc_count.load(), before);
     EXPECT_TRUE(ctx.converged);
@@ -310,18 +318,21 @@ TEST(PipelineAllocation, FastSteadyStateAllocatesNothing) {
     Tensor pos, neg;
     util::Rng rng(9);
     TileStageContext ctx;
+    TileStageContext* lanes[1] = {&ctx};
+    DegradeWorkspace ws;
     const ConductanceMapper mapper(spec.xbar.device, 1.0);
     Tensor w({32, 32});
     tensor::fill_normal(w, rng, 0.0f, 0.3f);
     mapper.to_differential(w, pos, neg);
     ctx.begin_tile(pos, neg, rng);
-    pipeline.run(ctx);  // warm-up: calibrates the bucket, grows buffers
+    // Warm-up: calibrates the bucket, grows buffers.
+    pipeline.run_batch(lanes, 1, ws);
 
     const long before = g_alloc_count.load();
     for (int rep = 0; rep < 10; ++rep) {
         mapper.to_differential(w, pos, neg);
         ctx.begin_tile(pos, neg, rng);
-        pipeline.run(ctx);
+        pipeline.run_batch(lanes, 1, ws);
     }
     EXPECT_EQ(g_alloc_count.load(), before);
     EXPECT_TRUE(ctx.converged);

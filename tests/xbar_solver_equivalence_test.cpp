@@ -1,8 +1,10 @@
-// Golden equivalence suite for the optimized iterative solver: the
-// workspace/warm-start/SOR fast path must reproduce the dense MNA reference
-// within tight tolerance on random conductance tiles, including stuck-fault
-// and high-parasitic configurations, so the performance rewrite cannot
-// silently change the numerics. Also pins down the `converged` reporting.
+// Golden equivalence suite for the iterative solver: the workspace/warm-
+// start/SOR line relaxation must reproduce the dense MNA reference within
+// tight tolerance on random conductance tiles, including stuck-fault and
+// high-parasitic configurations, so a performance rewrite cannot silently
+// change the numerics. Also pins down the `converged` reporting, and checks
+// Kirchhoff's current law directly on the returned node voltages at sizes
+// too large for the dense reference.
 #include "tensor/ops.h"
 #include "xbar/config.h"
 #include "xbar/faults.h"
@@ -10,7 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 namespace xs::xbar {
@@ -37,11 +41,19 @@ Tensor random_g(std::int64_t n, std::uint64_t seed, const DeviceConfig& dev) {
     return g;
 }
 
+// One-lane solve; returns the converged flag.
+bool solve_one(const CircuitSolver& solver, const Tensor& g,
+               const std::vector<double>& v, SolveWorkspace& ws) {
+    const Tensor* gp = &g;
+    solver.solve(&gp, 1, v.data(), ws);
+    return ws.converged[0] != 0;
+}
+
 void expect_matches_dense(const CircuitSolver& solver, const Tensor& g,
                           const std::vector<double>& v, SolveWorkspace& ws,
                           const std::string& label) {
     const std::int64_t n = solver.config().size;
-    ASSERT_TRUE(solver.solve(g, v.data(), ws)) << label << ": not converged";
+    ASSERT_TRUE(solve_one(solver, g, v, ws)) << label << ": not converged";
     const SolveResult dense = solver.solve_dense(g, v);
     for (std::int64_t j = 0; j < n; ++j) {
         const double ref = dense.currents[static_cast<std::size_t>(j)];
@@ -126,19 +138,19 @@ TEST(SolverEquivalence, WarmStartReproducesColdResult) {
     const std::vector<double> v(16, 0.25);
 
     SolveWorkspace cold;
-    ASSERT_TRUE(solver.solve(g_b, v.data(), cold));
+    ASSERT_TRUE(solve_one(solver, g_b, v, cold));
     const std::vector<double> cold_currents = cold.currents;
-    const int cold_sweeps = cold.iterations;
+    const int cold_sweeps = cold.iterations[0];
 
     // Warm path: solve a different tile first, then g_b from its voltages.
     SolveWorkspace warm;
-    ASSERT_TRUE(solver.solve(g_a, v.data(), warm));
-    ASSERT_TRUE(solver.solve(g_b, v.data(), warm));
+    ASSERT_TRUE(solve_one(solver, g_a, v, warm));
+    ASSERT_TRUE(solve_one(solver, g_b, v, warm));
     for (std::size_t j = 0; j < cold_currents.size(); ++j)
         EXPECT_NEAR(warm.currents[j], cold_currents[j],
                     std::fabs(cold_currents[j]) * 1e-8 + 1e-15);
     // Warm starting must not take more sweeps than the cold start.
-    EXPECT_LE(warm.iterations, cold_sweeps);
+    EXPECT_LE(warm.iterations[0], cold_sweeps);
 }
 
 TEST(SolverEquivalence, LegacySolveReportsConvergence) {
@@ -161,8 +173,81 @@ TEST(SolverEquivalence, ExhaustedSweepsSurfaceAsNotConverged) {
     EXPECT_GE(sol.max_delta, solver.tolerance());
 
     SolveWorkspace ws;
-    EXPECT_FALSE(solver.solve(g, std::vector<double>(16, 0.25).data(), ws));
-    EXPECT_FALSE(ws.converged);
+    EXPECT_FALSE(solve_one(solver, g, std::vector<double>(16, 0.25), ws));
+    EXPECT_EQ(ws.iterations[0], 1);
+}
+
+// Largest nodal current imbalance of lane `lane` of a solved workspace,
+// divided by the total current the drivers deliver. Every row node balances
+// its driver (column 0 only), its two row-wire neighbours and its device;
+// every column node balances its device, its two column-wire neighbours and
+// (bottom row only) the sense resistor to ground.
+double kcl_residual(const CrossbarConfig& c, const Tensor& g,
+                    const std::vector<double>& v_in, const SolveWorkspace& ws,
+                    int lane) {
+    const std::int64_t n = c.size;
+    const double gdrv = 1.0 / c.parasitics.r_driver;
+    const double gwr = 1.0 / c.parasitics.r_wire_row;
+    const double gwc = 1.0 / c.parasitics.r_wire_col;
+    const double gsn = 1.0 / c.parasitics.r_sense;
+    const auto L = static_cast<std::int64_t>(ws.lanes);
+    const auto vr = [&](std::int64_t i, std::int64_t j) {
+        return ws.vr[static_cast<std::size_t>((i * n + j) * L + lane)];
+    };
+    const auto vc = [&](std::int64_t i, std::int64_t j) {
+        return ws.vc[static_cast<std::size_t>((i * n + j) * L + lane)];
+    };
+    double driven = 0.0, worst = 0.0;
+    for (std::int64_t i = 0; i < n; ++i) {
+        driven += gdrv * (v_in[static_cast<std::size_t>(i)] - vr(i, 0));
+        for (std::int64_t j = 0; j < n; ++j) {
+            const double device = g.at(i, j) * (vr(i, j) - vc(i, j));
+            double row = -device;
+            if (j == 0) row += gdrv * (v_in[static_cast<std::size_t>(i)] - vr(i, 0));
+            if (j > 0) row += gwr * (vr(i, j - 1) - vr(i, j));
+            if (j + 1 < n) row += gwr * (vr(i, j + 1) - vr(i, j));
+            double col = device;
+            if (i > 0) col += gwc * (vc(i - 1, j) - vc(i, j));
+            if (i + 1 < n) col += gwc * (vc(i + 1, j) - vc(i, j));
+            if (i == n - 1) col -= gsn * vc(i, j);
+            worst = std::max({worst, std::fabs(row), std::fabs(col)});
+        }
+    }
+    return worst / driven;
+}
+
+TEST(SolverEquivalence, KclResidualStaysBelowTolerance) {
+    // ON/OFF 100, heavy 5 Ω wires with 100 Ω driver and sense, SOR ω = 1.5:
+    // the strongly coupled corner of the parameter space, at sizes the dense
+    // reference cannot reach, through the one-lane and the eight-lane kernel.
+    for (const std::int64_t n : {64, 128}) {
+        CrossbarConfig c = config_of(n, 100, 5, 5, 100);
+        c.device.r_min = 2e3;
+        CircuitSolver solver(c);
+        solver.set_relaxation(1.5);
+        util::Rng rng(static_cast<std::uint64_t>(n));
+        std::vector<double> v(static_cast<std::size_t>(n));
+        for (auto& vi : v) vi = rng.uniform(0.0, 0.3);
+        for (const int lanes : {1, kMaxSolveLanes}) {
+            std::vector<Tensor> gs;
+            std::vector<const Tensor*> gp;
+            for (int r = 0; r < lanes; ++r)
+                gs.push_back(random_g(n, 500 + static_cast<std::uint64_t>(r),
+                                      c.device));
+            for (const Tensor& g : gs) gp.push_back(&g);
+            SolveWorkspace ws;
+            solver.solve(gp.data(), lanes, v.data(), ws);
+            for (int r = 0; r < lanes; ++r) {
+                SCOPED_TRACE("n=" + std::to_string(n) + " lanes=" +
+                             std::to_string(lanes) + " lane=" +
+                             std::to_string(r));
+                ASSERT_TRUE(ws.converged[r]);
+                EXPECT_LE(kcl_residual(c, gs[static_cast<std::size_t>(r)], v,
+                                       ws, r),
+                          1e-9);
+            }
+        }
+    }
 }
 
 }  // namespace

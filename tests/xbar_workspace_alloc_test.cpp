@@ -1,6 +1,6 @@
 // Pins the zero-allocation guarantee of the workspace solve pipeline: after
-// a warm-up call, repeated degrade_tile / solve calls with a reused
-// workspace must perform no heap allocation. The global operator new/delete
+// a warm-up call, repeated degrade_tiles / solve calls with a reused
+// workspace must perform no heap allocation, in one lane and in eight. The global operator new/delete
 // pair below counts every allocation in this test binary.
 #include "xbar/degrade.h"
 #include "xbar/solver.h"
@@ -49,13 +49,17 @@ TEST(WorkspaceAllocation, SolveSteadyStateAllocatesNothing) {
     const CircuitSolver solver(config);
     const Tensor g = random_g(32, 1, config.device);
     const std::vector<double> v(32, 0.25);
+    const Tensor* gp[kMaxSolveLanes];
+    for (const Tensor*& p : gp) p = &g;
 
-    SolveWorkspace ws;
-    solver.solve(g, v.data(), ws);  // warm-up provisions all buffers
+    for (const int lanes : {1, kMaxSolveLanes}) {
+        SolveWorkspace ws;
+        solver.solve(gp, lanes, v.data(), ws);  // warm-up provisions buffers
 
-    const long before = g_alloc_count.load();
-    for (int rep = 0; rep < 10; ++rep) solver.solve(g, v.data(), ws);
-    EXPECT_EQ(g_alloc_count.load(), before);
+        const long before = g_alloc_count.load();
+        for (int rep = 0; rep < 10; ++rep) solver.solve(gp, lanes, v.data(), ws);
+        EXPECT_EQ(g_alloc_count.load(), before) << lanes << " lanes";
+    }
 }
 
 TEST(WorkspaceAllocation, DegradeTileSteadyStateAllocatesNothing) {
@@ -68,12 +72,15 @@ TEST(WorkspaceAllocation, DegradeTileSteadyStateAllocatesNothing) {
 
     DegradeWorkspace ws;
     TileDegradeResult out;
-    degrade_tile(g_a, solver, ws, out);  // warm-up
+    TileDegradeResult* op = &out;
+    const Tensor* ga = &g_a;
+    const Tensor* gb = &g_b;
+    degrade_tiles(&ga, 1, solver, ws, &op);  // warm-up
 
     const long before = g_alloc_count.load();
     for (int rep = 0; rep < 10; ++rep) {
-        degrade_tile(g_a, solver, ws, out);
-        degrade_tile(g_b, solver, ws, out);
+        degrade_tiles(&ga, 1, solver, ws, &op);
+        degrade_tiles(&gb, 1, solver, ws, &op);
     }
     EXPECT_EQ(g_alloc_count.load(), before);
     EXPECT_TRUE(out.converged);
