@@ -99,10 +99,10 @@ std::vector<tensor::Tensor> random_tiles(std::int64_t size, std::size_t count,
     return tiles;
 }
 
-// The zero-allocation pipeline path: caller-owned workspace, factored
-// sweeps, each one-lane solve warm-started from the previous (different)
-// tile's converged voltages — the pattern the evaluator's tile loop
-// produces for a single repeat.
+// The zero-allocation pipeline path: a caller-owned workspace reused across
+// a stream of distinct tiles, each one-lane solve cold-started from the flat
+// guess — the pattern the evaluator's tile loop produces for a single
+// repeat.
 void BM_CircuitSolveWorkspace(benchmark::State& state) {
     const auto size = state.range(0);
     xbar::CrossbarConfig config;

@@ -44,9 +44,10 @@ run_release() {
 # grid at 4 repeats runs once in-process (one compiled-instance set and one
 # batched inference pass per grid point) and once supervised with
 # --workers=1 (one-cell units in a forked worker); the two aggregate CSVs
-# must be byte-identical. A tiny circuit nf-only grid (sizes 16 and 32, no
-# inference: the one-lane tile loop alone) runs the same two ways and must
-# also match byte for byte. A further multi-process run with
+# must be byte-identical. A tiny circuit nf-only grid (sizes 16 and 32, two
+# repeats, no inference: the one-lane tile loop alone) runs the same two
+# ways and must also match byte for byte: in-process it deals two-cell
+# units, supervised one-cell units. A further multi-process run with
 # an injected worker crash (XS_FAULT) must respawn,
 # re-deal, and reproduce the single-process CSV byte for byte — the
 # supervisor's core invariant, checked end to end — while still emitting a
@@ -101,9 +102,11 @@ run_sweep_smoke() {
   fi
   echo "=== nf-only smoke (circuit NF grid, in-process vs --workers=1) ==="
   # nf-only cells skip inference: measure_nf degrades every layer through
-  # the one-lane tile loop. Both executors must write the same CSV bytes.
+  # the one-lane tile loop. In-process units hold a grid point's two
+  # repeats, supervised ones a single cell; both must write the same bytes.
   local nf_flags=("${smoke_flags[@]/--sizes=16/--sizes=16,32}")
   nf_flags=("${nf_flags[@]/--backends=circuit,fast/--backends=circuit}")
+  nf_flags=("${nf_flags[@]/--sweep-repeats=1/--sweep-repeats=2}")
   nf_flags+=(--nf-only=true)
   "$repo_root/build-release/sweep_runner" "${nf_flags[@]}" \
     --cell-budget-ms=120000 --csv=sweep_nf.csv --manifest=sweep_nf.jsonl

@@ -97,7 +97,6 @@ xbar::TilePipeline build_pipeline(const EvalConfig& config) {
     spec.faults = config.faults;
     spec.include_parasitics = config.include_parasitics;
     spec.compensate_columns = config.compensate_columns;
-    spec.warm_start_solves = config.warm_start_solves;
     spec.backend = config.backend;
     spec.fast_buckets = config.fast_buckets;
     return xbar::build_tile_pipeline(spec);
@@ -186,9 +185,7 @@ void finalize_nf(EvalResult& result) {
 // is copied to the other lanes, the stochastic stages run per lane with
 // private RNG streams, and the parasitic stage solves the lanes' circuits
 // together (xbar/solver.h). Lane scratch persists across tiles and layers,
-// so a lane's warm chain visits the tiles of its worker's chunk in order,
-// layer after layer — the same chain whatever lane count the repeat rides
-// in.
+// so the steady state allocates nothing.
 struct BatchLane {
     Tensor g_pos, g_neg, tile_w;
     xbar::TileStageContext ctx;
@@ -198,8 +195,8 @@ struct BatchWorker {
     Tensor sub;                                     // extracted tile
     std::vector<BatchLane> lanes;                   // one per repeat
     std::vector<xbar::TileStageContext*> ctx_ptrs;  // lane ctx view
-    // The worker's one solver workspace: circuit lanes' warm state lives
-    // here (other backends keep their per-lane scratch in ctx.ws).
+    // The worker's one circuit-solver workspace (other backends keep their
+    // per-lane scratch in ctx.ws).
     xbar::DegradeWorkspace ws;
 };
 
@@ -218,11 +215,6 @@ struct TileLoop {
         }
     }
 
-    // Start every lane's warm chain cold on the next degrade.
-    void restart_chains() {
-        for (BatchWorker& bw : workers) bw.ws.solve.invalidate();
-    }
-
     const EvalConfig& config;
     const xbar::TilePipeline pipeline;
     std::vector<BatchWorker> workers;
@@ -236,13 +228,6 @@ struct TileLoop {
 // tile t's stochastic stages from layer_rngs[rl].split(t + 1) —
 // deterministic regardless of the chunk partition — accumulates into
 // stats[rl] and writes its W′ to out[rl].
-// Warm-started solves do depend on the partition: the iteration stops on the
-// last sweep's update, so different warm-start chains can leave residuals
-// of order tolerance·ρ/(1−ρ) (ρ = contraction factor, ≤ ~1e-3 in the
-// physical wire regime — far below float resolution, but not a bit-for-bit
-// guarantee). config.warm_start_solves = false forces cold starts for
-// strict cross-machine reproducibility; unconverged warm solves are retried
-// cold inside xbar::degrade_tiles either way.
 void degrade_lanes(TileLoop& loop, const MatrixPlan& plan, const Tensor& matrix,
                    double w_ref, util::Rng* layer_rngs, std::size_t nl,
                    DegradeStats* stats, Tensor* out) {
@@ -384,9 +369,6 @@ std::vector<EvalResult> evaluate_repeats_on_crossbars(
         XS_TRACE_SPAN("compile_instances");
         const std::size_t lane0 = g * kGroupLanes;
         const std::size_t nl = std::min(kGroupLanes, R - lane0);
-        // Every repeat starts its warm chain cold regardless of which group
-        // it rides in (matching a lone run of that repeat).
-        loop.restart_chains();
         for (std::size_t li = 0; li < plans.size(); ++li) {
             const LayerPlan& lp = plans[li];
             // Per-repeat layer streams, exactly degrade_model_matrices'

@@ -39,12 +39,6 @@ struct EvalConfig {
     std::int64_t repeats = 1;
     bool include_parasitics = true;
     bool include_variation = true;
-    // Warm-start each tile's circuit solve from the previous converged
-    // voltages of the same worker (DESIGN.md §4). In the physical parasitic
-    // regime the residual differences sit far below float resolution, but
-    // strictly bit-identical results across machines with different worker
-    // counts require disabling this (each solve then starts cold).
-    bool warm_start_solves = true;
     // Which crossbar backend degrades each tile (xbar/backend.h, DESIGN.md
     // §8): kCircuit = exact parasitic solve (fidelity reference), kFast =
     // bucket-calibrated linear surrogate (~O(X²) per tile), kIdeal =
@@ -125,8 +119,8 @@ EvalResult evaluate_on_crossbars(nn::Sequential& model, const nn::Dataset& test,
 // a group's lanes, inference runs the group as lanes of one
 // forward_batched pass, and group g+1 compiles on a producer thread while
 // group g runs inference. Repeat r equals degrade_model_matrices at
-// seeds[r] → InferenceEngine::refresh → nn::evaluate, bit for bit with
-// cold-start solves (tests/core_repeat_batch_test.cpp). Sweeps call this
+// seeds[r] → InferenceEngine::refresh → nn::evaluate, bit for bit
+// (tests/core_repeat_batch_test.cpp). Sweeps call this
 // directly with one grid point's per-cell seeds, so every repeat still
 // produces its own CellResult.
 std::vector<EvalResult> evaluate_repeats_on_crossbars(

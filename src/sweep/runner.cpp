@@ -72,7 +72,6 @@ std::vector<CellResult> run_sweep_group(
     eval.faults.p_stuck_max = head.faults.p_stuck_max;
     if (head.quant_levels > 0) eval.conductance_levels = head.quant_levels;
     eval.compensate_columns = head.mitigation.compensate;
-    eval.warm_start_solves = spec.warm_start_solves;
 
     std::vector<std::uint64_t> seeds(lanes);
     for (std::size_t r = 0; r < lanes; ++r)
@@ -128,14 +127,15 @@ std::uint64_t cell_seed(std::uint64_t master_seed, const SweepCell& cell) {
 std::string sweep_config_fingerprint(const core::ExperimentContext& ctx,
                                      const SweepSpec& spec) {
     // Refusing to resume under a different configuration needs every input
-    // that changes cell results: the context fingerprint, the
-    // solve-determinism mode, the measurement mode, and a sampler tag —
-    // bump the tag whenever the Rng draw stream changes (e.g. the
-    // Box–Muller → ziggurat switch), so a manifest recorded under the old
-    // sampler refuses to resume instead of mixing two draw universes into
-    // one CSV no fresh run could reproduce.
-    return ctx.fingerprint() + (spec.warm_start_solves ? "/warm" : "/cold") +
-           (spec.nf_only ? "/nf" : "") + "/rng-zig128";
+    // that changes cell results: the context fingerprint, the measurement
+    // mode, and a sampler tag — bump the tag whenever the Rng draw stream
+    // changes (e.g. the Box–Muller → ziggurat switch), so a manifest
+    // recorded under the old sampler refuses to resume instead of mixing two
+    // draw universes into one CSV no fresh run could reproduce. "/cold"
+    // names the solve start every cell uses; it stays so manifests written
+    // while the solve start was still selectable keep resuming.
+    return ctx.fingerprint() + "/cold" + (spec.nf_only ? "/nf" : "") +
+           "/rng-zig128";
 }
 
 void merge_prior_metrics(const std::string& prior_json,
@@ -249,14 +249,10 @@ SweepSummary SweepRunner::run() {
 
     // Work units: a contiguous run of pending cells from the same repeat
     // group, executed as one run_sweep_group call. Repeat is the innermost
-    // expansion axis, so group membership is index / repeats. Cold-start
-    // lanes are bit-identical to one-cell units, which keeps the aggregate
-    // CSV independent of how cells are grouped (supervisor workers run
-    // one-cell units); warm-start sweeps chain solves differently per lane
-    // and nf-only sweeps have no inference pass to share, so both deal
-    // one-cell units.
-    const bool batch_groups = !spec_.nf_only && !spec_.warm_start_solves &&
-                              spec_.repeats > 1;
+    // expansion axis, so group membership is index / repeats. Every lane is
+    // bit-identical to a one-cell unit, which keeps the aggregate CSV
+    // independent of how cells are grouped (supervisor workers run one-cell
+    // units).
     struct Unit {
         std::size_t begin = 0;  // index into `pending`
         std::size_t count = 0;
@@ -264,15 +260,12 @@ SweepSummary SweepRunner::run() {
     std::vector<Unit> units;
     units.reserve(pending.size());
     for (std::size_t p = 0; p < pending.size();) {
+        const std::size_t group =
+            pending[p] / static_cast<std::size_t>(spec_.repeats);
         std::size_t q = p + 1;
-        if (batch_groups) {
-            const std::size_t group =
-                pending[p] / static_cast<std::size_t>(spec_.repeats);
-            while (q < pending.size() &&
-                   pending[q] / static_cast<std::size_t>(spec_.repeats) ==
-                       group)
-                ++q;
-        }
+        while (q < pending.size() &&
+               pending[q] / static_cast<std::size_t>(spec_.repeats) == group)
+            ++q;
         units.push_back(Unit{p, q - p});
         p = q;
     }
@@ -388,8 +381,6 @@ std::string dry_run_report(const core::ExperimentContext& ctx,
         return std::string(xbar::backend_name(b));
     });
     os << "  sweep-repeats = " << spec.repeats << "\n";
-    os << "  warm-start = " << (spec.warm_start_solves ? "true" : "false")
-       << "\n";
     if (spec.nf_only) os << "  nf-only = true\n";
 
     const std::vector<SweepCell> cells = spec.expand();

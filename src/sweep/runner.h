@@ -4,13 +4,11 @@
 // shards run concurrently on the process-wide worker pool; every completed
 // cell is appended to a JSONL manifest (sweep/manifest.h) so an interrupted
 // sweep resumes with --resume, skipping finished cells. Every unit runs
-// through one function, run_sweep_group: normally one grid point's pending
-// repeats, evaluated in a single lane-batched pass; warm-start and nf-only
-// sweeps deal one-cell units. Per-cell RNG seeds derive from the cell's
-// stable group id — never from shard, grouping, or completion order — and
-// sweep cells cold-start their circuit solves, so the aggregate CSV is
-// byte-identical at any shard count, however cells are grouped, with or
-// without interruption.
+// through one function, run_sweep_group, on one grid point's contiguous
+// pending repeats. Per-cell RNG seeds derive from the cell's stable group
+// id — never from shard, grouping, or completion order — and every circuit
+// solve cold-starts, so the aggregate CSV is byte-identical at any shard
+// count, however cells are grouped, with or without interruption.
 //
 // The same grid also runs in forked worker processes (sweep/supervisor.h)
 // and on remote agent hosts (sweep/service.h). All three executors keep
@@ -125,17 +123,17 @@ std::uint64_t cell_seed(std::uint64_t master_seed, const SweepCell& cell);
 // one batched inference pass); nf_only cells call measure_nf once each.
 // Returns one CellResult per input cell, in order, with the unit's wall
 // time split evenly across them, and attaches the analytic energy
-// estimate. With cold-start solves every lane is bit-identical to a
-// one-cell call on the same cell, so the supervisor's and service's
+// estimate. Circuit solves cold-start, so every lane is bit-identical to a
+// one-cell call on the same cell and the supervisor's and service's
 // workers, which run one cell at a time, stay byte-comparable with grouped
-// in-process runs. Warm-start lanes chain solves differently, so callers
-// keep warm-start sweeps to one-cell units (SweepRunner::run does).
+// in-process runs.
 std::vector<CellResult> run_sweep_group(core::ExperimentContext& ctx,
                                         const SweepSpec& spec,
                                         const std::vector<const SweepCell*>& cells);
 
 // The configuration fingerprint recorded in (and checked against) the
-// manifest: experiment context + solve determinism + RNG sampler tag.
+// manifest: experiment context + "/cold" + measurement mode + RNG sampler
+// tag.
 std::string sweep_config_fingerprint(const core::ExperimentContext& ctx,
                                      const SweepSpec& spec);
 

@@ -30,8 +30,8 @@ BackendKind backend_from_name(const std::string& name) {
     return BackendKind::kCircuit;
 }
 
-CircuitBackend::CircuitBackend(const CrossbarConfig& config, bool warm_start)
-    : solver_(config), warm_start_(warm_start) {}
+CircuitBackend::CircuitBackend(const CrossbarConfig& config)
+    : solver_(config) {}
 
 void CircuitBackend::degrade(const Tensor& g, DegradeWorkspace& ws,
                              TileDegradeResult& out) const {
@@ -44,7 +44,6 @@ void CircuitBackend::degrade_batch(const Tensor* const* g, int lanes,
                                    DegradeWorkspace& ws,
                                    TileDegradeResult* const* out) const {
     XS_COUNT("xbar.circuit.tiles", static_cast<std::uint64_t>(lanes));
-    if (!warm_start_) ws.solve.invalidate();
     degrade_tiles(g, lanes, solver_, ws, out);
 }
 
@@ -223,7 +222,6 @@ void IdealBackend::degrade(const Tensor& g, DegradeWorkspace& ws,
 
 std::unique_ptr<CrossbarBackend> make_backend(BackendKind kind,
                                               const CrossbarConfig& config,
-                                              bool warm_start,
                                               std::int64_t fast_buckets) {
     switch (kind) {
         case BackendKind::kFast:
@@ -232,7 +230,7 @@ std::unique_ptr<CrossbarBackend> make_backend(BackendKind kind,
             return std::make_unique<IdealBackend>(config);
         case BackendKind::kCircuit:
         default:
-            return std::make_unique<CircuitBackend>(config, warm_start);
+            return std::make_unique<CircuitBackend>(config);
     }
 }
 

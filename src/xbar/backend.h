@@ -5,8 +5,9 @@
 // Three implementations cover the fidelity/throughput space the framework
 // needs (RxNN and GENIEx make the same split):
 //
-//  * circuit — the exact warm-started line-relaxation solve of xbar/solver.h
-//              folded through the voltage-division model of xbar/degrade.h.
+//  * circuit — the exact line-relaxation solve of xbar/solver.h, cold-started
+//              per tile and folded through the voltage-division model of
+//              xbar/degrade.h.
 //              The fidelity reference; bit-identical to the historical
 //              evaluator path.
 //  * fast    — a calibration-folded linear surrogate: the parasitic network
@@ -58,21 +59,20 @@ public:
                          TileDegradeResult& out) const = 0;
 };
 
-// Exact parasitic solve (today's Thomas/SOR pipeline). When `warm_start` is
-// false every solve starts from the flat initial guess, making results
-// independent of the tile partition (DESIGN.md §7).
+// Exact parasitic solve (the Thomas/SOR line relaxation). Every solve starts
+// from the flat initial guess, so results are independent of the tile
+// partition and of what the workspace solved before (DESIGN.md §7).
 class CircuitBackend final : public CrossbarBackend {
 public:
-    CircuitBackend(const CrossbarConfig& config, bool warm_start);
+    explicit CircuitBackend(const CrossbarConfig& config);
 
     BackendKind kind() const override { return BackendKind::kCircuit; }
     void degrade(const tensor::Tensor& g, DegradeWorkspace& ws,
                  TileDegradeResult& out) const override;
 
     // Degrade `lanes` (≤ kMaxSolveLanes) same-size tiles in one solve;
-    // degrade() is its one-lane case. Lane r is bit-identical to degrade(g[r])
-    // with the same warm state: in cold mode every lane restarts flat per
-    // call, in warm mode each lane carries its own warm chain across calls.
+    // degrade() is its one-lane case. Lane r is bit-identical to
+    // degrade(g[r]).
     void degrade_batch(const tensor::Tensor* const* g, int lanes,
                        DegradeWorkspace& ws,
                        TileDegradeResult* const* out) const;
@@ -81,7 +81,6 @@ public:
 
 private:
     CircuitSolver solver_;
-    bool warm_start_;
 };
 
 // Calibration-folded linear surrogate (DESIGN.md §8). Tiles are bucketed by
@@ -152,11 +151,9 @@ private:
     CrossbarConfig config_;
 };
 
-// Factory over the kind axis. `warm_start` only affects kCircuit;
-// `fast_buckets` only affects kFast.
+// Factory over the kind axis. `fast_buckets` only affects kFast.
 std::unique_ptr<CrossbarBackend> make_backend(BackendKind kind,
                                               const CrossbarConfig& config,
-                                              bool warm_start,
                                               std::int64_t fast_buckets);
 
 }  // namespace xs::xbar

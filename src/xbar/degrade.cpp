@@ -39,37 +39,9 @@ void degrade_tiles(const Tensor* const* g, int lanes,
     ws.v_in.assign(static_cast<std::size_t>(n), v_nom);
     ws.ideal.resize(static_cast<std::size_t>(n));
 
-    bool was_warm[kMaxSolveLanes] = {};
-    for (int r = 0; r < lanes; ++r)
-        was_warm[r] = ws.solve.warm[r] != 0 && ws.solve.n == n &&
-                      ws.solve.lanes == lanes;
     solver.solve(g, lanes, ws.v_in.data(), ws.solve);
 
     const int L = lanes;
-    for (int r = 0; r < L; ++r) {
-        if (ws.solve.converged[r] || !was_warm[r]) continue;
-        // A warm-started solve that ran out of sweeps would leave voltages
-        // that depend on whatever the workspace solved before. Retry it cold
-        // as a one-lane solve so the unconverged result is deterministic,
-        // and splice its state back into the lane so the warm chain
-        // continues exactly as it would have solo.
-        ws.retry.invalidate();
-        solver.solve(&g[r], 1, ws.v_in.data(), ws.retry);
-        for (std::int64_t k = 0; k < n * n; ++k) {
-            ws.solve.vr[static_cast<std::size_t>(k * L + r)] =
-                ws.retry.vr[static_cast<std::size_t>(k)];
-            ws.solve.vc[static_cast<std::size_t>(k * L + r)] =
-                ws.retry.vc[static_cast<std::size_t>(k)];
-        }
-        for (std::int64_t j = 0; j < n; ++j)
-            ws.solve.currents[static_cast<std::size_t>(j * L + r)] =
-                ws.retry.currents[static_cast<std::size_t>(j)];
-        ws.solve.iterations[r] = ws.retry.iterations[0];
-        ws.solve.max_delta[r] = ws.retry.max_delta[0];
-        ws.solve.converged[r] = ws.retry.converged[0];
-        ws.solve.warm[r] = ws.retry.warm[0];
-    }
-
     const double inv_v = 1.0 / v_nom;
     const double* vr = ws.solve.vr.data();
     const double* vc = ws.solve.vc.data();

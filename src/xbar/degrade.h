@@ -22,15 +22,11 @@ struct TileDegradeResult {
     int sweeps = 0;         // relaxation sweeps the solve used
 };
 
-// Reusable scratch for degrade_tiles: the circuit-solver workspace, a
-// one-lane workspace for the deterministic cold retry of a lane whose warm
-// solve failed (grown only when a retry happens), and the calibration input
-// and ideal-current buffers. One instance per worker; reusing it across
-// tiles keeps the steady state free of heap allocations and lets every lane
-// warm-start from its previous tile's converged voltages (DESIGN.md §4).
+// Reusable scratch for degrade_tiles: the circuit-solver workspace and the
+// calibration input and ideal-current buffers. One instance per worker;
+// reusing it across tiles keeps the steady state free of heap allocations.
 struct DegradeWorkspace {
     SolveWorkspace solve;
-    SolveWorkspace retry;
     std::vector<double> v_in;
     std::vector<double> ideal;
 };
@@ -46,11 +42,10 @@ TileDegradeResult degrade_tile(const tensor::Tensor& g,
 
 // The one tile fold: degrade `lanes` (≤ kMaxSolveLanes) same-size tiles in
 // one circuit solve; a single tile is lanes = 1. Lane r's g_eff / nf /
-// converged / sweeps are bit-identical to a one-lane call on g[r] with the
-// same warm state. A warm-started lane that runs out of sweeps is retried
-// cold, so an unconverged result never depends on what the workspace
-// solved before. out[r]'s g_eff storage is reused when already tile-shaped,
-// so steady state allocates nothing.
+// converged / sweeps are bit-identical to a one-lane call on g[r]; every
+// solve cold-starts, so no result (an unconverged one included) depends on
+// what the workspace solved before. out[r]'s g_eff storage is reused when
+// already tile-shaped, so steady state allocates nothing.
 void degrade_tiles(const tensor::Tensor* const* g, int lanes,
                    const CircuitSolver& solver, DegradeWorkspace& ws,
                    TileDegradeResult* const* out);

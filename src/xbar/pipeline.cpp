@@ -104,11 +104,9 @@ public:
     // ONE call (pos in lanes [0,count), neg in [count,2·count)) — at
     // count = 4 that fills all kMaxSolveLanes and the solver's per-lane
     // inner loops span a full 512-bit double vector. The solves are
-    // independent, so cold-start results stay bit-identical to one-lane
-    // solves; warm starts then chain pos→pos and neg→neg per repeat lane
-    // instead of the one-lane pos→neg interleave (differences far below
-    // float resolution, and only in the already-unpinned warm multi-repeat
-    // case — a single lane keeps the pos→neg chain order exactly).
+    // independent and cold-started, so every lane stays bit-identical to a
+    // one-lane solve. A single lane solves pos and then neg instead, so the
+    // one-lane workspace stays at n² doubles per array.
     void apply_batch(TileStageContext* const* lanes, int count,
                      DegradeWorkspace& ws) const override {
         if (circuit_ == nullptr) {
@@ -222,9 +220,8 @@ TilePipeline build_tile_pipeline(const PipelineSpec& spec) {
     const bool parasitics =
         spec.include_parasitics && spec.backend != BackendKind::kIdeal;
     if (parasitics) {
-        pipeline.set_backend(make_backend(spec.backend, spec.xbar,
-                                          spec.warm_start_solves,
-                                          spec.fast_buckets));
+        pipeline.set_backend(
+            make_backend(spec.backend, spec.xbar, spec.fast_buckets));
         pipeline.add(std::make_unique<ParasiticStage>(*pipeline.backend()));
         if (spec.compensate_columns)
             pipeline.add(std::make_unique<CompensateStage>());

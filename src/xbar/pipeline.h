@@ -83,8 +83,7 @@ public:
     // once. The default per-lane loop is correct for every stage (each lane
     // has its own RNG stream and buffers); the parasitic stage overrides it
     // to solve the circuit lanes together. `ws` is the caller-owned solver
-    // scratch, live for the worker's lane group so per-lane warm chains
-    // persist across tiles.
+    // scratch, reused across tiles so the steady state allocates nothing.
     virtual void apply_batch(TileStageContext* const* lanes, int count,
                              DegradeWorkspace& ws) const {
         (void)ws;
@@ -106,8 +105,8 @@ public:
     // contexts of one tile (count = 1 for a single tile), letting stages
     // batch across the repeat lanes. Each stage is timed into an "xbar.stage.<name>.ns" histogram
     // (registered once in add()) and wrapped in a trace span; the whole lane
-    // group lands in one "xbar.tile.ns" record. Cold-started lane r is
-    // bit-identical to a one-lane run of the same context.
+    // group lands in one "xbar.tile.ns" record. Lane r is bit-identical to
+    // a one-lane run of the same context.
     void run_batch(TileStageContext* const* lanes, int count,
                    DegradeWorkspace& ws) const;
 
@@ -133,7 +132,6 @@ struct PipelineSpec {
     FaultConfig faults;
     bool include_parasitics = true;
     bool compensate_columns = false;
-    bool warm_start_solves = true;
     BackendKind backend = BackendKind::kCircuit;
     std::int64_t fast_buckets = 64;
 };

@@ -84,16 +84,12 @@ void solve_lanes(const SolveParams& p, const tensor::Tensor* const* g,
 
     double* vr = ws.vr.data();
     double* vc = ws.vc.data();
-    // Captured before the warm-start init below: when every lane cold-starts,
-    // vc is identically +0.0 entering sweep 0, so the g·vc terms of the first
-    // row half-sweep are exactly +0.0 (conductances are finite, no NaN/Inf)
-    // and the loads can be skipped — the RHS keeps a literal 0.0 operand in
-    // their place so every sum keeps its bit pattern (signed zeros included).
-    bool cold_entry = true;
-    for (int r = 0; r < L; ++r)
-        if (ws.warm[r]) cold_entry = false;
+    // Flat initial guess for every lane. vc is identically +0.0 entering
+    // sweep 0, so the g·vc terms of the first row half-sweep are exactly
+    // +0.0 (conductances are finite, no NaN/Inf) and their loads are
+    // skipped — the RHS keeps a literal 0.0 operand in their place so every
+    // sum keeps its bit pattern (signed zeros included).
     for (int r = 0; r < L; ++r) {
-        if (ws.warm[r]) continue;
         for (std::int64_t i = 0; i < n; ++i) {
             const double vi = v_in[i];
             for (std::int64_t j = 0; j < n; ++j) vr[(i * n + j) * L + r] = vi;
@@ -148,9 +144,9 @@ void solve_lanes(const SolveParams& p, const tensor::Tensor* const* g,
                                 grow[c][j * L + r] * vci[c][j * L + r] -
                                 mj * rc[c][(j - 1) * L + r];
                         }
-            } else if (cold_entry) {
-                // Sweep 0, every lane cold: factor + elimination fused, and
-                // the g·vc term replaced by the literal 0.0 it equals.
+            } else {
+                // Sweep 0: factor + elimination fused, and the g·vc term
+                // replaced by the literal 0.0 it equals.
                 for (int c = 0; c < nc; ++c)
                     for (int r = 0; r < L; ++r) {
                         const double d0 =
@@ -167,28 +163,6 @@ void solve_lanes(const SolveParams& p, const tensor::Tensor* const* g,
                             inv[c][j * L + r] = 1.0 / dj;
                             rc[c][j * L + r] =
                                 0.0 - mj * rc[c][(j - 1) * L + r];
-                        }
-            } else {
-                // Sweep 0 with warm lanes: factor + elimination fused, full
-                // RHS (vc carries the warm state).
-                for (int c = 0; c < nc; ++c)
-                    for (int r = 0; r < L; ++r) {
-                        const double d0 =
-                            gdrv + (n > 1 ? gwr : 0.0) + grow[c][r];
-                        inv[c][r] = 1.0 / d0;
-                        rc[c][r] =
-                            grow[c][r] * vci[c][r] + gdrv * v_in[i0 + c];
-                    }
-                for (std::int64_t j = 1; j < n; ++j)
-                    for (int c = 0; c < nc; ++c)
-                        for (int r = 0; r < L; ++r) {
-                            const double mj = -gwr * inv[c][(j - 1) * L + r];
-                            const double dj = gwr + (j + 1 < n ? gwr : 0.0) +
-                                              grow[c][j * L + r] + mj * gwr;
-                            inv[c][j * L + r] = 1.0 / dj;
-                            rc[c][j * L + r] =
-                                grow[c][j * L + r] * vci[c][j * L + r] -
-                                mj * rc[c][(j - 1) * L + r];
                         }
             }
             // Back-substitution with the voltage update fused into it: the
@@ -316,7 +290,6 @@ void solve_lanes(const SolveParams& p, const tensor::Tensor* const* g,
             }
         }
     }
-    for (int r = 0; r < L; ++r) ws.warm[r] = ws.converged[r];
     for (std::int64_t j = 0; j < n; ++j)
         for (int r = 0; r < L; ++r)
             ws.currents[j * L + r] = vc[((n - 1) * n + j) * L + r] * gsn;
@@ -337,7 +310,6 @@ void SolveWorkspace::ensure(std::int64_t size, int lane_count) {
     currents.resize(ns);
     n = size;
     lanes = lane_count;
-    invalidate();
 }
 
 CircuitSolver::CircuitSolver(const CrossbarConfig& config) : config_(config) {
@@ -382,16 +354,12 @@ void CircuitSolver::solve(const Tensor* const* g, int lanes,
     XS_TIMER_NS("xbar.solve.ns");
     XS_COUNT("xbar.solve.solves", static_cast<std::uint64_t>(lanes));
 #if XS_TELEMETRY_ENABLED
-    // Handles hoisted out of their conditions: a branch-local XS_COUNT
-    // would register (and allocate) on the first *taken* branch, breaking
-    // the zero-allocation steady state when e.g. the first warm start
-    // happens after warm-up.
-    static const util::metrics::Counter warm_starts =
-        util::metrics::counter("xbar.solve.warm_starts");
+    // Handle hoisted out of its condition: a branch-local XS_COUNT would
+    // register (and allocate) on the first *taken* branch, breaking the
+    // zero-allocation steady state when the first unconverged solve happens
+    // after warm-up.
     static const util::metrics::Counter unconverged =
         util::metrics::counter("xbar.solve.unconverged");
-    for (int r = 0; r < lanes; ++r)
-        if (ws.warm[r]) warm_starts.add(1);
 #endif
 
     const SolveParams p{n, g_driver_, g_wire_row_, g_wire_col_,
@@ -424,10 +392,8 @@ SolveResult CircuitSolver::solve(const Tensor& g,
     check(static_cast<std::int64_t>(v_in.size()) == n,
           "CircuitSolver: input voltage count mismatch");
 
-    // Buffer reuse across calls on the same thread; the cold start is kept
-    // (no warm-start) so results never depend on unrelated earlier solves.
+    // Buffer reuse across calls on the same thread.
     static thread_local SolveWorkspace ws;
-    ws.invalidate();
     const Tensor* gp = &g;
     solve(&gp, 1, v_in.data(), ws);
 

@@ -16,10 +16,11 @@
 // (≤ kMaxSolveLanes) independent same-size systems in one pass, vectorizing
 // the chain recurrences across lanes; a single solve is its one-lane case.
 // Each chain's tridiagonal factorization is computed once per solve and
-// reused across sweeps, all scratch lives in a caller-owned workspace so the
-// steady state performs no heap allocation, and the previous converged
-// voltages can warm-start the next solve. Optional SOR over-relaxation is
-// available via set_relaxation().
+// reused across sweeps, and all scratch lives in a caller-owned workspace so
+// the steady state performs no heap allocation. Every solve starts from the
+// flat guess (row nodes at their driver voltage, column nodes at 0 V), so a
+// result depends only on its own tile, never on what the workspace solved
+// before. Optional SOR over-relaxation is available via set_relaxation().
 #pragma once
 
 #include "tensor/tensor.h"
@@ -40,16 +41,9 @@ inline constexpr int kMaxSolveLanes = 8;
 // operations. With one lane the layout is plain row-major. Buffers grow on
 // demand and are never shrunk; after the first solve of a given (size,
 // lanes), later solves perform zero heap allocations.
-//
-// `vr`/`vc` double as the warm-start state, per lane: lane r of the next
-// solve iterates from lane r's previous converged voltages instead of the
-// flat initial guess (a large win across Monte-Carlo repeats and
-// neighbouring tiles, whose conductance fields are statistically similar),
-// so each repeat keeps the warm chain it would have had solving alone.
 struct SolveWorkspace {
     // Node voltages, X×X row-major and lane-interleaved, double precision
-    // (float storage would stall convergence). Valid after a solve; inputs
-    // when warm.
+    // (float storage would stall convergence). Valid after a solve.
     std::vector<double> vr, vc;
     // Sensed per-column output currents (A), X×lanes. Valid after a solve.
     std::vector<double> currents;
@@ -68,18 +62,13 @@ struct SolveWorkspace {
     std::int64_t n = 0;  // provisioned size
     int lanes = 0;       // provisioned lane count
 
-    // Per-lane warm-start validity and last-solve outputs.
-    std::uint8_t warm[kMaxSolveLanes] = {};
+    // Per-lane last-solve outputs.
     int iterations[kMaxSolveLanes] = {};     // relaxation sweeps used
     double max_delta[kMaxSolveLanes] = {};   // final sweep's largest update
     std::uint8_t converged[kMaxSolveLanes] = {};
 
-    // Provision for (size × lane_count); drops all warm state on change.
+    // Provision for (size × lane_count).
     void ensure(std::int64_t size, int lane_count);
-    // Force every lane of the next solve to start from the flat guess.
-    void invalidate() {
-        for (int r = 0; r < kMaxSolveLanes; ++r) warm[r] = 0;
-    }
 };
 
 struct SolveResult {
@@ -96,18 +85,17 @@ public:
     explicit CircuitSolver(const CrossbarConfig& config);
 
     // Solve node voltages/currents for conductances `g` (X×X, siemens) and
-    // input voltages `v_in` (X), cold-started. Parasitic resistances of
+    // input voltages `v_in` (X). Parasitic resistances of
     // exactly zero are treated as near-ideal (1 nΩ) conductors.
     SolveResult solve(const tensor::Tensor& g, const std::vector<double>& v_in) const;
 
     // Solve `lanes` (≤ kMaxSolveLanes) independent conductance fields that
     // share the same input voltages in one pass; results land in ws.vr /
     // ws.vc / ws.currents (plus the per-lane iterations / max_delta /
-    // converged). Lane r warm-starts from ws when it holds a same-size,
-    // same-lane-count solution. Every lane runs the identical sweep sequence
-    // and freezes at its own convergence sweep, so lane r's voltages,
-    // currents, iteration count and convergence flag are bit-identical to a
-    // one-lane solve of g[r] with the same warm state.
+    // converged). Every lane runs the identical sweep sequence and freezes
+    // at its own convergence sweep, so lane r's voltages, currents,
+    // iteration count and convergence flag are bit-identical to a one-lane
+    // solve of g[r].
     void solve(const tensor::Tensor* const* g, int lanes, const double* v_in,
                SolveWorkspace& ws) const;
 

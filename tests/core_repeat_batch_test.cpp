@@ -10,7 +10,6 @@
 #include "nn/trainer.h"
 #include "nn/vgg.h"
 #include "tensor/ops.h"
-#include "util/parallel.h"
 
 #include <gtest/gtest.h>
 
@@ -115,7 +114,6 @@ EvalConfig cold_config(xbar::BackendKind backend) {
     EvalConfig config;
     config.xbar.size = 32;
     config.backend = backend;
-    config.warm_start_solves = false;  // cold starts: strict bit identity
     config.seed = 21;
     return config;
 }
@@ -150,34 +148,15 @@ TEST(RepeatBatch, ColdMatchesReferenceOnEveryBackend) {
     }
 }
 
-TEST(RepeatBatch, WarmSingleRepeatMatchesReference) {
-    // With one repeat there is no cross-repeat warm chaining to differ on:
-    // the batched path's lane-0 warm chain visits tiles in the same worker
-    // partition order as degrade_model_matrices, so even warm-started
-    // solves are bit-identical.
-    nn::Sequential model = tiny_vgg(12);
-    const nn::Dataset test = tiny_dataset(15);
-    EvalConfig config = cold_config(xbar::BackendKind::kCircuit);
-    config.warm_start_solves = true;
-    config.repeats = 1;
-    const EvalResult batched = evaluate_on_crossbars(model, test, config);
-    const EvalResult reference = reference_evaluate(model, test, config);
-    expect_identical(batched, reference, "warm repeats=1");
-}
-
 // FNV-1a digest of degrade_model_matrices: every layer's W′ bits in
 // layer-name order (name bytes, then floats), then each layer's tiles,
-// unconverged count, nf_mean and w_ref. The warm chain depends on how tiles
-// are split across pool workers, so the call runs inside a pool region,
-// where nested dispatches run inline as one chunk: one tile order on any
-// core count.
-std::uint64_t degrade_digest(nn::Sequential& model, xbar::BackendKind backend,
-                             bool warm) {
+// unconverged count, nf_mean and w_ref. Solves cold-start, so the digest
+// does not depend on how tiles are split across pool workers.
+std::uint64_t degrade_digest(nn::Sequential& model, xbar::BackendKind backend) {
     EvalConfig config;
     config.xbar.size = 16;
     config.seed = 21;
     config.backend = backend;
-    config.warm_start_solves = warm;
     std::uint64_t h = 14695981039346656037ull;
     const auto add = [&h](const void* p, std::size_t bytes) {
         const auto* b = static_cast<const unsigned char*>(p);
@@ -186,23 +165,19 @@ std::uint64_t degrade_digest(nn::Sequential& model, xbar::BackendKind backend,
             h *= 1099511628211ull;
         }
     };
-    util::parallel_for_workers(0, 2, [&](std::size_t, std::size_t lo,
-                                         std::size_t) {
-        if (lo != 0) return;
-        std::vector<LayerEvalStats> stats;
-        const std::map<std::string, Tensor> degraded =
-            degrade_model_matrices(model, config, &stats);
-        for (const auto& [name, w] : degraded) {
-            add(name.data(), name.size());
-            add(w.data(), static_cast<std::size_t>(w.numel()) * sizeof(float));
-        }
-        for (const LayerEvalStats& ls : stats) {
-            add(&ls.tiles, sizeof(ls.tiles));
-            add(&ls.unconverged, sizeof(ls.unconverged));
-            add(&ls.nf_mean, sizeof(ls.nf_mean));
-            add(&ls.w_ref, sizeof(ls.w_ref));
-        }
-    });
+    std::vector<LayerEvalStats> stats;
+    const std::map<std::string, Tensor> degraded =
+        degrade_model_matrices(model, config, &stats);
+    for (const auto& [name, w] : degraded) {
+        add(name.data(), name.size());
+        add(w.data(), static_cast<std::size_t>(w.numel()) * sizeof(float));
+    }
+    for (const LayerEvalStats& ls : stats) {
+        add(&ls.tiles, sizeof(ls.tiles));
+        add(&ls.unconverged, sizeof(ls.unconverged));
+        add(&ls.nf_mean, sizeof(ls.nf_mean));
+        add(&ls.w_ref, sizeof(ls.w_ref));
+    }
     return h;
 }
 
@@ -210,13 +185,10 @@ TEST(RepeatBatch, DegradeModelMatricesMatchesGoldenDigests) {
     // Recorded before the scalar solver kernel and its one-repeat tile loop
     // were deleted: the one-lane tile loop must reproduce them bit for bit.
     nn::Sequential model = tiny_vgg(12);
-    EXPECT_EQ(degrade_digest(model, xbar::BackendKind::kCircuit, true),
-              0xe0286d589b4dc8d4ull)
-        << "circuit, warm starts";
-    EXPECT_EQ(degrade_digest(model, xbar::BackendKind::kCircuit, false),
+    EXPECT_EQ(degrade_digest(model, xbar::BackendKind::kCircuit),
               0xd6797f4231d40085ull)
-        << "circuit, cold starts";
-    EXPECT_EQ(degrade_digest(model, xbar::BackendKind::kFast, true),
+        << "circuit";
+    EXPECT_EQ(degrade_digest(model, xbar::BackendKind::kFast),
               0x59f8bff495ed860eull)
         << "fast";
 }

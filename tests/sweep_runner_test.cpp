@@ -266,6 +266,36 @@ TEST(SweepRunner, ResumeRefusesDifferentConfiguration) {
     EXPECT_THROW(runner.run(), std::exception);
 }
 
+TEST(SweepRunner, ColdFingerprintStillResumesOlderManifests) {
+    // Manifests written while the solve start was still selectable carry
+    // "/cold" in their fingerprint; the fingerprint keeps that literal so
+    // they resume without re-running a cell.
+    SweepSpec nf = tiny_spec();
+    nf.nf_only = true;
+    EXPECT_EQ(sweep_config_fingerprint(ctx(), tiny_spec()),
+              ctx().fingerprint() + "/cold/rng-zig128");
+    EXPECT_EQ(sweep_config_fingerprint(ctx(), nf),
+              ctx().fingerprint() + "/cold/nf/rng-zig128");
+
+    SweepOptions opts;
+    opts.csv_name = "cold_fp.csv";
+    opts.manifest_name = "cold_fp.jsonl";
+    {
+        ManifestWriter writer(ctx().csv_path(opts.manifest_name),
+                              /*append=*/false);
+        writer.record_config(ctx().fingerprint() + "/cold/rng-zig128");
+        CellResult r;
+        r.accuracy = 50.0;
+        r.tiles = 1;
+        for (const SweepCell& cell : tiny_spec().expand())
+            writer.record(cell.id(), r);
+    }
+    opts.resume = true;
+    const SweepSummary resumed = run(opts);
+    EXPECT_EQ(resumed.cells_executed, 0);
+    EXPECT_EQ(resumed.cells_resumed, resumed.cells_total);
+}
+
 TEST(SweepRunner, BackendAxisRecordsBackendAndFastTracksCircuit) {
     SweepOptions opts;
     opts.csv_name = "backends.csv";

@@ -108,6 +108,34 @@ TEST(SweepSpec, SpecFileParsesAndCliWins) {
     std::filesystem::remove(path);
 }
 
+// The removed solve-start knob must fail loudly in both places it could
+// still be spelled, rather than run a grid the user did not ask for.
+TEST(SweepSpec, RemovedWarmStartKnobIsRejected) {
+    const auto error_of = [](const util::Flags& flags) -> std::string {
+        try {
+            parse_sweep_spec(flags);
+        } catch (const std::exception& e) {
+            return e.what();
+        }
+        return "";
+    };
+    EXPECT_NE(error_of(make_flags({"--warm-start=true"}))
+                  .find("warm-start was removed; circuit solves always "
+                        "cold-start"),
+              std::string::npos);
+
+    const std::string path =
+        (std::filesystem::temp_directory_path() / "xs_spec_warm.sweep").string();
+    {
+        std::ofstream out(path);
+        out << "warm-start = false\n";
+    }
+    EXPECT_NE(error_of(make_flags({"--spec=" + path}))
+                  .find("unknown spec-file key 'warm-start'"),
+              std::string::npos);
+    std::filesystem::remove(path);
+}
+
 TEST(SweepManifest, LineRoundTripsDoublesExactly) {
     CellResult r;
     r.accuracy = 100.0 / 3.0;

@@ -78,7 +78,7 @@ TEST(Backend, IdealIsExactPassThrough) {
 TEST(Backend, FastTracksCircuitPerTile) {
     CrossbarConfig config;
     config.size = 32;
-    const CircuitBackend circuit(config, /*warm_start=*/false);
+    const CircuitBackend circuit(config);
     const FastBackend fast(config);
     DegradeWorkspace ws;
     TileDegradeResult exact, approx;
@@ -205,15 +205,12 @@ Tensor reference_degrade(const Tensor& matrix, const map::Tiling& tiling,
                                tile_rngs[t]);
         }
         if (config.include_parasitics) {
-            // config.warm_start_solves = false: each array solves cold, as
-            // a one-lane degrade.
+            // Each array solves cold, as a one-lane degrade.
             const Tensor* gp = &g_pos;
             TileDegradeResult* op = &pos;
-            ws.solve.invalidate();
             degrade_tiles(&gp, 1, solver, ws, &op);
             gp = &g_neg;
             op = &neg;
-            ws.solve.invalidate();
             degrade_tiles(&gp, 1, solver, ws, &op);
             if (config.compensate_columns) {
                 reference_compensate(pos.g_eff, g_pos, n);
@@ -235,7 +232,6 @@ TEST(PipelineGolden, CircuitBackendBitIdenticalToPreRefactorLoop) {
 
     core::EvalConfig config;
     config.xbar.size = 16;
-    config.warm_start_solves = false;  // partition-independent, exact
     config.conductance_levels = 33;
     config.faults.p_stuck_min = 0.02;
     config.faults.p_stuck_max = 0.01;
@@ -260,7 +256,6 @@ TEST(PipelineGolden, XcsTilingBitIdenticalToPreRefactorLoop) {
     core::EvalConfig config;
     config.xbar.size = 8;
     config.method = prune::Method::kXbarColumn;
-    config.warm_start_solves = false;
 
     core::DegradeStats stats;
     util::Rng vr1(7), vr2(7);
@@ -368,7 +363,6 @@ TEST(PipelineBackends, FastBackendTracksCircuitOnMacMatrix) {
 
     core::EvalConfig circuit;
     circuit.xbar.size = 32;
-    circuit.warm_start_solves = false;
     core::EvalConfig fast = circuit;
     fast.backend = BackendKind::kFast;
 

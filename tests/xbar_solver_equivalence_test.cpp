@@ -1,8 +1,8 @@
-// Golden equivalence suite for the iterative solver: the workspace/warm-
-// start/SOR line relaxation must reproduce the dense MNA reference within
-// tight tolerance on random conductance tiles, including stuck-fault and
-// high-parasitic configurations, so a performance rewrite cannot silently
-// change the numerics. Also pins down the `converged` reporting, and checks
+// Golden equivalence suite for the iterative solver: the workspace/SOR line
+// relaxation must reproduce the dense MNA reference within tight tolerance
+// on random conductance tiles, including stuck-fault and high-parasitic
+// configurations, so a performance rewrite cannot silently change the
+// numerics. Also pins down the `converged` reporting, and checks
 // Kirchhoff's current law directly on the returned node voltages at sizes
 // too large for the dense reference.
 #include "tensor/ops.h"
@@ -82,7 +82,7 @@ TEST(SolverEquivalence, WorkspaceMatchesDenseAcrossSizes) {
             std::vector<double> v(static_cast<std::size_t>(n));
             for (auto& vi : v) vi = rng.uniform(0.0, 0.3);
             const CircuitSolver solver(c);
-            // The workspace is reused (and warm-started) across all cases.
+            // The workspace is reused across all cases.
             expect_matches_dense(solver, g, v, ws,
                                  "n=" + std::to_string(n) +
                                      " seed=" + std::to_string(seed));
@@ -128,29 +128,6 @@ TEST(SolverEquivalence, SorRelaxationMatchesDense) {
     const Tensor g = random_g(8, 17, c.device);
     const std::vector<double> v(8, 0.25);
     expect_matches_dense(solver, g, v, ws, "sor");
-}
-
-TEST(SolverEquivalence, WarmStartReproducesColdResult) {
-    const CrossbarConfig c = config_of(16, 60, 2, 2, 60);
-    const CircuitSolver solver(c);
-    const Tensor g_a = random_g(16, 41, c.device);
-    const Tensor g_b = random_g(16, 42, c.device);
-    const std::vector<double> v(16, 0.25);
-
-    SolveWorkspace cold;
-    ASSERT_TRUE(solve_one(solver, g_b, v, cold));
-    const std::vector<double> cold_currents = cold.currents;
-    const int cold_sweeps = cold.iterations[0];
-
-    // Warm path: solve a different tile first, then g_b from its voltages.
-    SolveWorkspace warm;
-    ASSERT_TRUE(solve_one(solver, g_a, v, warm));
-    ASSERT_TRUE(solve_one(solver, g_b, v, warm));
-    for (std::size_t j = 0; j < cold_currents.size(); ++j)
-        EXPECT_NEAR(warm.currents[j], cold_currents[j],
-                    std::fabs(cold_currents[j]) * 1e-8 + 1e-15);
-    // Warm starting must not take more sweeps than the cold start.
-    EXPECT_LE(warm.iterations[0], cold_sweeps);
 }
 
 TEST(SolverEquivalence, LegacySolveReportsConvergence) {
