@@ -232,7 +232,7 @@ void BM_Forward(benchmark::State& state) {
     nn::InferenceEngine engine(model);
     tensor::Tensor x({16, 3, 32, 32});
     tensor::fill_normal(x, rng, 0.0f, 1.0f);
-    engine.forward(x);  // warm-up: arenas, scratch, pack buffers
+    engine.forward(x);  // warm-up: arenas, guard bands, conv scratch
     for (auto _ : state) {
         const tensor::Tensor& y = engine.forward(x);
         benchmark::DoNotOptimize(y.data());

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # CI entry point: a Release build+test job with a bench smoke and a bench
-# regression gate, plus a Debug job with Address- and UB-sanitizers over the
-# unit-labeled tests. Both jobs compile with -Wall -Wextra -Werror
+# regression gate, a Debug job with Address- and UB-sanitizers over the
+# unit-labeled tests, and a portable Release job (no -march=native) over the
+# unit-labeled tests. All jobs compile with -Wall -Wextra -Werror
 # (XS_WERROR) and use ccache when available (the GitHub workflow caches its
 # directory). Run from anywhere.
 #
-# Usage: ci.sh [release|sanitize|all]   (default: all)
+# Usage: ci.sh [release|sanitize|portable|all]   (default: all)
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")" && pwd)"
@@ -256,10 +257,25 @@ run_sanitize() {
     -L unit
 }
 
+# Portable job: the native builds run the GEMM micro-kernels' 16-float
+# vectors in single AVX-512 registers; built for baseline x86-64 they split
+# across narrower registers and lose fused multiply-adds, so the engine's
+# golden digests (their no-FMA set) and the conv kernel tests run there too.
+run_portable() {
+  echo "=== Portable Release build (XS_NATIVE_ARCH=OFF) + ctest (unit label) ==="
+  cmake -B "$repo_root/build-portable" -S "$repo_root" \
+    -DCMAKE_BUILD_TYPE=Release -DXS_NATIVE_ARCH=OFF \
+    -DXS_BUILD_BENCH=OFF -DXS_BUILD_EXAMPLES=OFF "${cmake_common[@]}"
+  cmake --build "$repo_root/build-portable" -j"$jobs"
+  ctest --test-dir "$repo_root/build-portable" --output-on-failure -j"$jobs" \
+    -L unit
+}
+
 case "$mode" in
   release) run_release ;;
   sanitize) run_sanitize ;;
-  all) run_release; run_sanitize ;;
-  *) echo "usage: $0 [release|sanitize|all]" >&2; exit 2 ;;
+  portable) run_portable ;;
+  all) run_release; run_sanitize; run_portable ;;
+  *) echo "usage: $0 [release|sanitize|portable|all]" >&2; exit 2 ;;
 esac
 echo "CI OK"

@@ -5,7 +5,6 @@
 #include "nn/layers_basic.h"
 #include "nn/linear.h"
 #include "tensor/gemm.h"
-#include "tensor/im2col.h"
 #include "util/metrics.h"
 #include "util/parallel.h"
 #include "util/trace.h"
@@ -13,6 +12,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
 
 namespace xs::nn {
 
@@ -26,43 +26,26 @@ namespace {
 // allocation-free parallel_for_workers overload. All fields are set before
 // the dispatch and only read (or written at disjoint offsets) inside.
 
-// Phase 1 of a conv step: batched im2col straight into packed-B panels.
-// Workers split the panel range; panels write disjoint regions.
-struct PackCtx {
-    const float* x;
-    float* packed;
-    std::int64_t n, cin, h, w, s_img, s_c, k, stride, pad;
-};
-
-void pack_kernel(void* pv, std::size_t /*worker*/, std::size_t lo,
-                 std::size_t hi) {
-    PackCtx& ctx = *static_cast<PackCtx*>(pv);
-    tensor::im2col_pack_b(ctx.x, ctx.n, ctx.cin, ctx.h, ctx.w, ctx.s_img,
-                          ctx.s_c, ctx.k, ctx.k, ctx.stride, ctx.pad,
-                          ctx.packed, static_cast<std::int64_t>(lo),
-                          static_cast<std::int64_t>(hi));
-}
-
-// Phase 2: tiled GEMM over (row-panel × n-block) tiles with the fused
-// bias+ReLU epilogue. Workers split the tile range; tiles write disjoint
-// C regions.
+// Conv step: implicit-GEMM tiles over (row-panel × n-block) with the fused
+// bias+ReLU epilogue. Workers split the tile range; tiles write disjoint C
+// regions.
 struct TileCtx {
     const tensor::PackedGemmA* wpack;
     const float* wraw;  // folded weights (cout × patch), sparse fallback
-    const float* packed;
-    float* y;  // channel-major (cout × n·out_hw)
+    tensor::ConvB b;    // channel-major input (cin × n·H·W)
+    float* y;           // channel-major output (cout × n·H·W)
     const float* bias;
-    std::int64_t lda, n_cols;
+    std::int64_t lda;
     bool relu;
 };
 
-void gemm_tile_kernel(void* pv, std::size_t /*worker*/, std::size_t lo,
+void conv_tile_kernel(void* pv, std::size_t /*worker*/, std::size_t lo,
                       std::size_t hi) {
     TileCtx& ctx = *static_cast<TileCtx*>(pv);
-    tensor::gemm_prepacked_tiles(*ctx.wpack, ctx.wraw, ctx.lda, ctx.packed,
-                                 ctx.n_cols, ctx.y, ctx.n_cols, ctx.bias,
-                                 ctx.relu, static_cast<std::int64_t>(lo),
-                                 static_cast<std::int64_t>(hi));
+    tensor::gemm_conv_tiles(*ctx.wpack, ctx.wraw, ctx.lda, ctx.b, ctx.y,
+                            ctx.b.cols, ctx.bias, ctx.relu,
+                            static_cast<std::int64_t>(lo),
+                            static_cast<std::int64_t>(hi));
 }
 
 // Pooling is plane-local, so one kernel serves both activation layouts
@@ -119,19 +102,62 @@ void pool_kernel(void* pv, std::size_t /*worker*/, std::size_t lo,
     }
 }
 
+// Swap the two plane axes of an (a × b × hw) block: plane (i, j) of `src`
+// becomes plane (j, i) of `dst` — NCHW ↔ channel-major (CN).
+void swap_plane_axes(const float* src, float* dst, std::int64_t a,
+                     std::int64_t b, std::int64_t hw) {
+    for (std::int64_t i = 0; i < a; ++i)
+        for (std::int64_t j = 0; j < b; ++j)
+            std::memcpy(dst + (j * a + i) * hw, src + (i * b + j) * hw,
+                        static_cast<std::size_t>(hw) * sizeof(float));
+}
+
+// An activation buffer between zeroed guard bands: conv tap loads reach up
+// to tensor::conv_b_guard(W, k) floats past either end of the data
+// (gemm.h). The guard only grows, so steady-state resets allocate nothing.
+class GuardedBuffer {
+public:
+    float* data() { return mem_.data() + guard_; }
+
+    // Size the data to `numel` floats (contents unspecified) and zero the
+    // band behind it; the band in front is never written.
+    float* reset(std::int64_t numel) {
+        const std::size_t need = static_cast<std::size_t>(2 * guard_ + numel);
+        if (mem_.size() < need) mem_.resize(need);
+        size_ = numel;
+        std::fill(data() + size_, data() + size_ + guard_, 0.0f);
+        return data();
+    }
+
+    // Widen both bands to at least `guard` floats, keeping the data.
+    void ensure_guard(std::int64_t guard) {
+        if (guard <= guard_) return;
+        std::vector<float> grown(static_cast<std::size_t>(2 * guard + size_));
+        std::copy(data(), data() + size_, grown.data() + guard);
+        mem_.swap(grown);
+        guard_ = guard;
+    }
+
+private:
+    std::vector<float> mem_;
+    std::int64_t guard_ = 0, size_ = 0;
+};
+
 // Per-thread scratch shared by every engine on the thread: the activation
 // ping-pong pair (a forward is synchronous, so two engines never overlap on
-// one thread) and the packed im2col panel store. Evaluators construct a
-// fresh engine per Monte-Carlo evaluation; engine-owned buffers this large
+// one thread), the channel-major copy of a conv input that arrives
+// batch-major, and the conv lane-mask tables. Evaluators construct a fresh
+// engine per Monte-Carlo evaluation; engine-owned buffers this large
 // (multi-MB) would be mmap'd by the allocator and returned to the OS on
-// every engine destruction, repaying page faults and zero fills each eval. Thread-locality makes the
-// sharing race-free; the engine copies its final output out of the arena
-// before returning (InferenceEngine::out_), so callers never hold references
-// into this scratch.
+// every engine destruction, repaying page faults and zero fills each eval.
+// Thread-locality makes the sharing race-free; the engine copies its final
+// output out of the arena before returning (InferenceEngine::out_), so
+// callers never hold references into this scratch.
 struct EngineScratch {
-    Tensor arena[2];            // ping-pong activation buffers
-    std::vector<float> packedb;  // packed im2col panels, grown once and
-                                 // reused across layers/batches/engines
+    GuardedBuffer arena[2];  // ping-pong activation buffers
+    GuardedBuffer cn_in;     // CN transpose of a batch-major conv input
+    std::vector<std::int64_t> tap_offset;  // tensor::ConvB tables, rebuilt
+    std::vector<std::uint32_t> lane_mask;  // once per conv step
 };
 
 EngineScratch& engine_scratch() {
@@ -165,6 +191,13 @@ void InferenceEngine::build_plan(Sequential& model) {
             s.k = conv->kernel();
             s.stride = conv->stride();
             s.pad = conv->pad();
+            // The implicit-GEMM conv reads the "same" geometry only.
+            check(s.stride == 1 && 2 * s.pad == s.k - 1,
+                  "InferenceEngine: conv layer '" + conv->name() +
+                      "' needs stride 1 and 2*pad = k-1 (k=" +
+                      std::to_string(s.k) + ", stride=" +
+                      std::to_string(s.stride) + ", pad=" +
+                      std::to_string(s.pad) + ")");
             s.patch = s.cin * s.k * s.k;
             if (next < count) {
                 auto* bn = dynamic_cast<BatchNorm2d*>(&model.layer(next));
@@ -341,18 +374,17 @@ const Tensor& InferenceEngine::run(const float* x, const Shape& shape,
     XS_COUNT("nn.forwards", static_cast<std::uint64_t>(count));
 
     EngineScratch& scratch = engine_scratch();
-    Tensor* const batch_arena_ = scratch.arena;
-    std::vector<float>& packedb_ = scratch.packedb;
+    GuardedBuffer* const arena = scratch.arena;
     const std::int64_t R = static_cast<std::int64_t>(count);
     cur_shape_ = shape;
     const float* cur = x;
-    int cur_arena = -1;  // index into batch_arena_ once an arena is written
+    int cur_arena = -1;  // index into arena once an arena is written
     bool cn = false;     // channel-major conv-trunk layout (per lane block)
     // While `uniform`, every lane shares one activation — the caller's
     // input, untouched (weightless prefix steps that would write a buffer
     // materialize lanes first). Divergence happens at the first step that
-    // reads instance weights; until then packing/pooling work is done once
-    // for all R lanes.
+    // reads instance weights; a first conv transposes the shared input to
+    // channel-major once for all R lanes.
     bool uniform = true;
     std::size_t slot = 0;
     const auto dst_of = [](int arena) { return arena == 0 ? 1 : 0; };
@@ -363,12 +395,11 @@ const Tensor& InferenceEngine::run(const float* x, const Shape& shape,
     const auto materialize_lanes = [&]() {
         const std::int64_t block = block_numel();
         const int dst = dst_of(cur_arena);
-        Tensor& y = batch_arena_[dst];
-        y.reset(R, block);
+        float* y = arena[dst].reset(R * block);
         for (std::int64_t r = 0; r < R; ++r)
-            std::memcpy(y.data() + r * block, cur,
+            std::memcpy(y + r * block, cur,
                         static_cast<std::size_t>(block) * sizeof(float));
-        cur = y.data();
+        cur = y;
         cur_arena = dst;
         uniform = false;
     };
@@ -379,17 +410,10 @@ const Tensor& InferenceEngine::run(const float* x, const Shape& shape,
                            hw = cur_shape_[2] * cur_shape_[3];
         const std::int64_t block = n * c * hw;
         const int dst = dst_of(cur_arena);
-        Tensor& y = batch_arena_[dst];
-        y.reset(R, block);
-        for (std::int64_t r = 0; r < R; ++r) {
-            const float* src = cur + r * block;
-            float* dp = y.data() + r * block;
-            for (std::int64_t ch = 0; ch < c; ++ch)
-                for (std::int64_t i = 0; i < n; ++i)
-                    std::memcpy(dp + (i * c + ch) * hw, src + (ch * n + i) * hw,
-                                static_cast<std::size_t>(hw) * sizeof(float));
-        }
-        cur = y.data();
+        float* y = arena[dst].reset(R * block);
+        for (std::int64_t r = 0; r < R; ++r)
+            swap_plane_axes(cur + r * block, y + r * block, c, n, hw);
+        cur = y;
         cur_arena = dst;
         cn = false;
     };
@@ -416,122 +440,66 @@ const Tensor& InferenceEngine::run(const float* x, const Shape& shape,
                 XS_TRACE_SPAN("conv");
                 check(cur_shape_.size() == 4 && cur_shape_[1] == step.cin,
                       "InferenceEngine: conv input shape mismatch");
+                // Stride 1 with 2·pad = k − 1 (build_plan): the output map
+                // is the input map.
                 const std::int64_t n = cur_shape_[0], h = cur_shape_[2],
                                    w = cur_shape_[3];
-                const std::int64_t oh =
-                    tensor::conv_out_size(h, step.k, step.stride, step.pad);
-                const std::int64_t ow =
-                    tensor::conv_out_size(w, step.k, step.stride, step.pad);
-                const std::int64_t n_cols = n * oh * ow;
+                const std::int64_t n_cols = n * h * w;
                 const std::int64_t in_block = block_numel();
                 const std::int64_t out_block = step.cout * n_cols;
-                const std::int64_t packed_size =
-                    tensor::packed_b_size(step.patch, n_cols);
-                if (static_cast<std::int64_t>(packedb_.size()) < packed_size)
-                    packedb_.resize(static_cast<std::size_t>(packed_size));
-                const int dst = dst_of(cur_arena);
-                Tensor& y = batch_arena_[dst];
-                y.reset(R, out_block);
-                PackCtx pctx;
-                pctx.packed = packedb_.data();
-                pctx.n = n;
-                pctx.cin = step.cin;
-                pctx.h = h;
-                pctx.w = w;
-                pctx.s_img = cn ? h * w : step.cin * h * w;
-                pctx.s_c = cn ? n * h * w : h * w;
-                pctx.k = step.k;
-                pctx.stride = step.stride;
-                pctx.pad = step.pad;
-                TileCtx tctx;
-                tctx.packed = packedb_.data();
-                tctx.lda = step.patch;
-                tctx.n_cols = n_cols;
-                tctx.relu = step.relu;
-                const std::int64_t total_panels =
-                    tensor::packed_b_panels(n_cols);
-                const std::int64_t block_panels =
-                    tensor::kPackNc / tensor::kPackNr;
-                const std::int64_t row_panels =
-                    (step.cout + tensor::kPackMr - 1) / tensor::kPackMr;
-                const std::int64_t n_blocks =
-                    (total_panels + block_panels - 1) / block_panels;
-                const auto set_lane = [&](std::int64_t r) {
-                    const CompiledInstance::Slot& sl = instances[r]->slots[slot];
-                    tctx.wpack = &sl.wpack;
-                    tctx.wraw = sl.w.data();
-                    tctx.bias = step.epilogue ? sl.b.data() : nullptr;
-                    tctx.y = y.data() + r * out_block;
-                };
-                const bool split_timing = util::metrics::detail_enabled();
-                std::uint64_t pack_ns = 0, kernel_ns = 0;
-                const auto run_blocks = [&]() {
-                    for (std::int64_t nb = 0; nb < n_blocks; ++nb) {
-                        const std::int64_t p_lo = nb * block_panels;
-                        const std::int64_t p_hi =
-                            std::min(total_panels, p_lo + block_panels);
-                        const std::uint64_t t0 =
-                            split_timing ? util::metrics::detail::now_ns() : 0;
-                        util::parallel_for_workers(
-                            static_cast<std::size_t>(p_lo),
-                            static_cast<std::size_t>(p_hi), &pack_kernel,
-                            &pctx);
-                        if (split_timing) {
-                            const std::uint64_t t1 =
-                                util::metrics::detail::now_ns();
-                            pack_ns += t1 - t0;
-                            kernel_ns -= t1;  // closed after the GEMM below
-                        }
-                        if (uniform) {
-                            // Shared input: pack each n-block once and GEMM
-                            // it for every instance while cache-resident —
-                            // the R-fold pack amortization that makes the
-                            // repeat batch cheaper than R forwards.
-                            for (std::int64_t r = 0; r < R; ++r) {
-                                set_lane(r);
-                                util::parallel_for_workers(
-                                    static_cast<std::size_t>(nb * row_panels),
-                                    static_cast<std::size_t>((nb + 1) *
-                                                             row_panels),
-                                    &gemm_tile_kernel, &tctx);
-                            }
-                        } else {
-                            util::parallel_for_workers(
-                                static_cast<std::size_t>(nb * row_panels),
-                                static_cast<std::size_t>((nb + 1) * row_panels),
-                                &gemm_tile_kernel, &tctx);
-                        }
-                        if (split_timing)
-                            kernel_ns += util::metrics::detail::now_ns();
-                    }
-                };
-                if (uniform) {
-                    pctx.x = cur;
-                    run_blocks();
-                    uniform = false;
+                const std::int64_t guard = tensor::conv_b_guard(w, step.k);
+                // Every conv reads channel-major: a batch-major input (the
+                // caller's batch, or lanes a generic step left batch-major)
+                // is transposed once into cn_in.
+                const float* in;
+                if (cn) {
+                    arena[cur_arena].ensure_guard(guard);
+                    in = arena[cur_arena].data();
                 } else {
-                    for (std::int64_t r = 0; r < R; ++r) {
-                        pctx.x = cur + r * in_block;
-                        set_lane(r);
-                        run_blocks();
-                    }
+                    scratch.cn_in.ensure_guard(guard);
+                    const std::int64_t lanes = uniform ? 1 : R;
+                    float* t = scratch.cn_in.reset(lanes * in_block);
+                    for (std::int64_t r = 0; r < lanes; ++r)
+                        swap_plane_axes(cur + r * in_block, t + r * in_block,
+                                        n, step.cin, h * w);
+                    in = t;
                 }
-                if (split_timing) {
-                    static const util::metrics::Histogram pack_hist =
-                        util::metrics::histogram("gemm.pack.ns");
+                const int dst = dst_of(cur_arena);
+                float* y = arena[dst].reset(R * out_block);
+                TileCtx ctx{};
+                ctx.b.cols = n_cols;
+                ctx.b.taps = step.k * step.k;
+                ctx.b.mask_panels = tensor::conv_b_tables(
+                    h, w, step.k, scratch.tap_offset, scratch.lane_mask);
+                ctx.b.tap_offset = scratch.tap_offset.data();
+                ctx.b.lane_mask = scratch.lane_mask.data();
+                ctx.lda = step.patch;
+                ctx.relu = step.relu;
+                const std::size_t tiles = static_cast<std::size_t>(
+                    tensor::gemm_tile_count(step.cout, n_cols));
+                const bool timed = util::metrics::detail_enabled();
+                const std::uint64_t t0 =
+                    timed ? util::metrics::detail::now_ns() : 0;
+                for (std::int64_t r = 0; r < R; ++r) {
+                    const CompiledInstance::Slot& sl = instances[r]->slots[slot];
+                    ctx.wpack = &sl.wpack;
+                    ctx.wraw = sl.w.data();
+                    ctx.bias = step.epilogue ? sl.b.data() : nullptr;
+                    ctx.b.x = uniform ? in : in + r * in_block;
+                    ctx.y = y + r * out_block;
+                    util::parallel_for_workers(0, tiles, &conv_tile_kernel,
+                                               &ctx);
+                }
+                if (timed) {
                     static const util::metrics::Histogram kernel_hist =
                         util::metrics::histogram("gemm.kernel.ns");
-                    pack_hist.record(pack_ns);
-                    kernel_hist.record(kernel_ns);
+                    kernel_hist.record(util::metrics::detail::now_ns() - t0);
                 }
-                cur = y.data();
+                uniform = false;
+                cur = y;
                 cur_arena = dst;
                 cn = true;
-                cur_shape_.resize(4);
-                cur_shape_[0] = n;
                 cur_shape_[1] = step.cout;
-                cur_shape_[2] = oh;
-                cur_shape_[3] = ow;
                 ++slot;
                 break;
             }
@@ -546,12 +514,11 @@ const Tensor& InferenceEngine::run(const float* x, const Shape& shape,
                                    out = step.out_features;
                 const std::int64_t in_block = n * in, out_block = n * out;
                 const int dst = dst_of(cur_arena);
-                Tensor& y = batch_arena_[dst];
-                y.reset(R, out_block);
+                float* y = arena[dst].reset(R * out_block);
                 for (std::int64_t r = 0; r < R; ++r) {
                     const CompiledInstance::Slot& sl = instances[r]->slots[slot];
                     const float* xr = uniform ? cur : cur + r * in_block;
-                    float* yr = y.data() + r * out_block;
+                    float* yr = y + r * out_block;
                     tensor::gemm_serial(n, out, in, 1.0f, xr, in, sl.w.data(),
                                         out, 0.0f, yr, out);
                     if (step.epilogue) {
@@ -567,7 +534,7 @@ const Tensor& InferenceEngine::run(const float* x, const Shape& shape,
                         }
                     }
                 }
-                cur = y.data();
+                cur = y;
                 cur_arena = dst;
                 uniform = false;
                 cur_shape_.resize(2);
@@ -586,8 +553,7 @@ const Tensor& InferenceEngine::run(const float* x, const Shape& shape,
                                    hw = cur_shape_[2] * cur_shape_[3];
                 const std::int64_t block = n * c * hw;
                 const int dst = dst_of(cur_arena);
-                Tensor& y = batch_arena_[dst];
-                y.reset(R, block);
+                float* y = arena[dst].reset(R * block);
                 for (std::int64_t ch = 0; ch < c; ++ch) {
                     double sd, td;
                     bn->inference_affine(ch, sd, td);
@@ -595,7 +561,7 @@ const Tensor& InferenceEngine::run(const float* x, const Shape& shape,
                     const float t = static_cast<float>(td);
                     for (std::int64_t r = 0; r < R; ++r) {
                         const float* src = cur + r * block;
-                        float* dp = y.data() + r * block;
+                        float* dp = y + r * block;
                         if (cn) {
                             const float* px = src + ch * n * hw;
                             float* py = dp + ch * n * hw;
@@ -611,14 +577,14 @@ const Tensor& InferenceEngine::run(const float* x, const Shape& shape,
                         }
                     }
                 }
-                cur = y.data();
+                cur = y;
                 cur_arena = dst;
                 break;
             }
             case Step::Kind::kReLU: {
                 // Once diverged the activation always lives in a batch
                 // arena: clamp all lanes in one pass, no buffer hop.
-                float* p = batch_arena_[cur_arena].data();
+                float* p = arena[cur_arena].data();
                 const std::int64_t numel = R * block_numel();
                 for (std::int64_t i = 0; i < numel; ++i)
                     if (p[i] < 0.0f) p[i] = 0.0f;
@@ -635,11 +601,9 @@ const Tensor& InferenceEngine::run(const float* x, const Shape& shape,
                       "InferenceEngine: pool input not divisible by kernel");
                 const std::int64_t oh = h / k, ow = w / k;
                 const int dst = dst_of(cur_arena);
-                Tensor& y = batch_arena_[dst];
-                y.reset(R, c * n * oh * ow);
                 PoolCtx ctx;
                 ctx.x = cur;
-                ctx.y = y.data();
+                ctx.y = arena[dst].reset(R * c * n * oh * ow);
                 ctx.h = h;
                 ctx.w = w;
                 ctx.k = k;
@@ -650,7 +614,7 @@ const Tensor& InferenceEngine::run(const float* x, const Shape& shape,
                 // one dispatch over all R·n·c planes serves every lane.
                 util::parallel_for_workers(
                     0, static_cast<std::size_t>(R * n * c), &pool_kernel, &ctx);
-                cur = y.data();
+                cur = ctx.y;
                 cur_arena = dst;
                 cur_shape_.resize(4);
                 cur_shape_[0] = n;
@@ -677,7 +641,7 @@ const Tensor& InferenceEngine::run(const float* x, const Shape& shape,
                 const std::int64_t in_block = block_numel();
                 Tensor in(cur_shape_);
                 const int dst = dst_of(cur_arena);
-                Tensor& y = batch_arena_[dst];
+                float* y = nullptr;
                 std::int64_t out_block = 0;
                 Shape out_shape;
                 for (std::int64_t r = 0; r < R; ++r) {
@@ -689,13 +653,13 @@ const Tensor& InferenceEngine::run(const float* x, const Shape& shape,
                     if (r == 0) {
                         out_block = out.numel();
                         out_shape = out.shape();
-                        y.reset(R, out_block);
+                        y = arena[dst].reset(R * out_block);
                     }
-                    std::memcpy(y.data() + r * out_block, out.data(),
+                    std::memcpy(y + r * out_block, out.data(),
                                 static_cast<std::size_t>(out_block) *
                                     sizeof(float));
                 }
-                cur = y.data();
+                cur = y;
                 cur_arena = dst;
                 cur_shape_ = out_shape;
                 break;

@@ -14,12 +14,14 @@
 //    once per refresh, and the bias+ReLU epilogue runs on each GEMM tile
 //    while it is hot — eliminating two full passes over every activation
 //    map plus the per-call weight packing.
-//  * im2col writes the packed-B panel layout directly (im2col_pack_b), so
-//    the GEMM's column-packing pass disappears; the panel buffer grows
-//    once and is reused across batches, layers, and refresh cycles.
+//  * The conv GEMM is implicit (tensor::gemm_conv_tiles): its kernels read
+//    the im2col matrix straight from the activation through per-layer
+//    lane masks, so no im2col buffer exists. This covers stride-1 convs
+//    with 2·pad = k − 1; construction rejects any other conv.
 //  * Conv activations stay channel-major ("CN": channels × batch·H·W)
-//    through the conv trunk, so batched GEMM outputs need no reshuffle;
-//    Flatten transposes back to batch-major once, on the smallest map.
+//    through the conv trunk, so batched GEMM outputs need no reshuffle and
+//    feed the next conv in place; Flatten transposes back to batch-major
+//    once, on the smallest map.
 //  * Linear (+ following ReLU) is fused the same way.
 //  * Dropout (identity at inference) is skipped.
 //
@@ -72,7 +74,8 @@ class InferenceEngine {
 public:
     // Compiles the plan and folds the current parameters (refresh()).
     // The engine keeps pointers into `model`; it must outlive the engine
-    // and its layer structure must not change (weights may).
+    // and its layer structure must not change (weights may). Throws when a
+    // Conv2d is not stride 1 with 2·pad = k − 1, naming the layer.
     explicit InferenceEngine(Sequential& model);
 
     // Non-copyable (owns arenas keyed to the plan), movable.
@@ -116,7 +119,7 @@ public:
         CompiledInstance& out) const;
 
     // Evaluate `count` compiled instances over ONE input batch in a single
-    // pass: lanes share the input (and the first conv's im2col pack) and
+    // pass: lanes share the input (and the first conv's CN copy of it) and
     // produce a lane-major stacked output — rows [r·n, (r+1)·n) are
     // instance r's result, bit-identical to a one-lane pass over it.
     // The returned reference points at an engine-owned buffer and stays
@@ -168,8 +171,8 @@ private:
     std::vector<std::size_t> mappable_steps_;  // steps_ indices of mappables
     std::size_t mappable_count_ = 0;
     CompiledInstance own_;  // refresh()'s weights, forward()'s one lane
-    // Activation ping-pong buffers and the packed im2col panel store live in
-    // a per-thread scratch arena shared by every engine on the thread (see
+    // Activation ping-pong buffers and the conv input copy and tables live
+    // in a per-thread scratch arena shared by every engine on the thread (see
     // engine_scratch() in infer.cpp): evaluators build a fresh engine per
     // Monte-Carlo evaluation, and per-engine buffers would hand their multi-MB
     // allocations back to the OS each time — repaying page faults and zero

@@ -5,6 +5,8 @@
 #include "util/parallel.h"
 
 #include <algorithm>
+#include <cstring>
+#include <numeric>
 #include <vector>
 
 namespace xs::tensor {
@@ -14,8 +16,8 @@ namespace {
 // (k-block × n-block), A into MR-tall row panels, and an MR×NR register-
 // blocked micro-kernel runs over the packed panels. Packing buffers are
 // thread-local and only grow, so the steady state allocates nothing.
-// The block geometry is public (gemm.h) because im2col_pack_b emits the
-// packed-B layout directly.
+// The conv tiles keep the A panels and the blocking but read B straight
+// from the activation (gemm.h), so B is never packed there.
 constexpr std::int64_t kMr = kPackMr;  // micro-kernel rows
 constexpr std::int64_t kNr = kPackNr;  // micro-kernel cols (one AVX-512 vector)
 constexpr std::int64_t kKc = kPackKc;  // k-block depth
@@ -73,6 +75,39 @@ void pack_a(const float* a, std::int64_t lda, std::int64_t i0, std::int64_t i1,
     pack_a_into(a, lda, i0, i1, k0, k1, buf.data());
 }
 
+// Walks the B rows of a conv column panel: row p of the virtual im2col
+// matrix is tap p % taps of channel p / taps, loaded at `row()` and masked
+// with lanes `mask()` of the panel's mask block. The channel base is kept
+// as an offset: after a k-block's last row it may point past the data.
+struct TapCursor {
+    const ConvB& b;
+    std::int64_t xc;  // channel base, shifted to the panel's first column
+    std::int64_t t;
+
+    TapCursor(const ConvB& conv, std::int64_t p, std::int64_t jb)
+        : b(conv), xc(p / conv.taps * conv.cols + jb), t(p % conv.taps) {}
+    const float* row() const { return b.x + (xc + b.tap_offset[t]); }
+    const std::uint32_t* mask(const std::uint32_t* panel_masks) const {
+        return panel_masks + t * kNr;
+    }
+    void next() {
+        if (++t == b.taps) {
+            t = 0;
+            xc += b.cols;
+        }
+    }
+};
+
+// One B lane: the activation bits ANDed with an all-ones or zero mask, so
+// an out-of-image tap reads +0.0f exactly as an im2col zero would.
+inline float masked(float v, std::uint32_t m) {
+    std::uint32_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    bits &= m;
+    std::memcpy(&v, &bits, sizeof(v));
+    return v;
+}
+
 // C(mr×nr) += alpha · Apanel · Bpanel. The accumulator tile lives in
 // registers (8 × 16-float vectors); the packed operands make every load
 // contiguous. GNU vector extensions pin the accumulators to vector
@@ -83,10 +118,10 @@ void pack_a(const float* a, std::int64_t lda, std::int64_t i0, std::int64_t i1,
 static_assert(kMr == 8, "micro_kernel is hand-unrolled for kMr == 8");
 using Vf = float __attribute__((vector_size(kNr * sizeof(float))));
 
-inline Vf load_vf(const float* p) {
-    Vf v;
+// Vectors leave helpers through references: gcc flags every by-value
+// 64-byte vector with a -Wpsabi note when AVX-512 is not enabled.
+inline void load_vf(Vf& v, const float* p) {
     __builtin_memcpy(&v, p, sizeof(Vf));
-    return v;
 }
 
 void micro_kernel(std::int64_t kc, float alpha, const float* ap,
@@ -95,7 +130,8 @@ void micro_kernel(std::int64_t kc, float alpha, const float* ap,
     Vf a0{}, a1{}, a2{}, a3{}, a4{}, a5{}, a6{}, a7{};
     for (std::int64_t p = 0; p < kc; ++p) {
         const float* arow = ap + p * kMr;
-        const Vf bv = load_vf(bp + p * kNr);
+        Vf bv;
+        load_vf(bv, bp + p * kNr);
         a0 += arow[0] * bv;
         a1 += arow[1] * bv;
         a2 += arow[2] * bv;
@@ -109,7 +145,8 @@ void micro_kernel(std::int64_t kc, float alpha, const float* ap,
     if (nr == kNr) {
         for (std::int64_t r = 0; r < mr; ++r) {
             float* cr = c + r * ldc;
-            Vf cv = load_vf(cr);
+            Vf cv;
+            load_vf(cv, cr);
             cv += alpha * acc[r];
             __builtin_memcpy(cr, &cv, sizeof(Vf));
         }
@@ -133,7 +170,11 @@ inline void store_panel(const Vf* acc, float* c, std::int64_t ldc,
         float* cr = c + r * ldc;
         if (nr == kNr) {
             Vf cv = acc[r];
-            if (load_c) cv += load_vf(cr);
+            if (load_c) {
+                Vf old;
+                load_vf(old, cr);
+                cv += old;
+            }
             if (bias) cv += bias[r];
             if (relu) cv = cv > zero ? cv : zero;
             __builtin_memcpy(cr, &cv, sizeof(Vf));
@@ -150,21 +191,39 @@ inline void store_panel(const Vf* acc, float* c, std::int64_t ldc,
     }
 }
 
-// Dual-panel variant: one pass over the packed A panel feeds TWO adjacent B
-// panels (an 8×32 register tile — 16 accumulators + 2 B vectors fit the 32
-// zmm registers). The single-panel kernel is load-bound (9 loads per 8
-// FMAs); amortizing the A broadcasts over two panels restores FMA-bound
-// throughput. The first panel must be full width; the second may be partial.
-void micro_kernel_x2(std::int64_t kc, const float* ap, const float* bp0,
-                     const float* bp1, float* c, std::int64_t ldc,
+// A conv B row of one panel: kNr activation floats, out-of-image lanes
+// zeroed (the vector form of masked()).
+using Vu = std::uint32_t __attribute__((vector_size(sizeof(Vf))));
+
+inline void load_b(Vf& out, const float* src, const std::uint32_t* mask) {
+    Vu v, m;
+    __builtin_memcpy(&v, src, sizeof(Vu));
+    __builtin_memcpy(&m, mask, sizeof(Vu));
+    v &= m;
+    __builtin_memcpy(&out, &v, sizeof(Vf));
+}
+
+// Dual-panel conv kernel over the k-block rows [pc, pc + kc): one pass over
+// the packed A panel feeds TWO adjacent B panels (an 8×32 register tile —
+// 16 accumulators + 2 B vectors fit the 32 zmm registers). The single-panel
+// kernel is load-bound (9 loads per 8 FMAs); amortizing the A broadcasts
+// over two panels restores FMA-bound throughput. The first panel (columns
+// jb…) must be full width; the second may be partial. m0/m1 are the two
+// panels' mask blocks.
+void micro_kernel_x2(std::int64_t pc, std::int64_t kc, const float* ap,
+                     const ConvB& b, std::int64_t jb, const std::uint32_t* m0,
+                     const std::uint32_t* m1, float* c, std::int64_t ldc,
                      std::int64_t mr, std::int64_t nr1, bool load_c,
                      const float* bias, bool relu) {
     Vf x0{}, x1{}, x2{}, x3{}, x4{}, x5{}, x6{}, x7{};
     Vf y0{}, y1{}, y2{}, y3{}, y4{}, y5{}, y6{}, y7{};
-    for (std::int64_t p = 0; p < kc; ++p) {
+    TapCursor tap(b, pc, jb);
+    for (std::int64_t p = 0; p < kc; ++p, tap.next()) {
         const float* arow = ap + p * kMr;
-        const Vf b0 = load_vf(bp0 + p * kNr);
-        const Vf b1 = load_vf(bp1 + p * kNr);
+        const float* src = tap.row();
+        Vf b0, b1;
+        load_b(b0, src, tap.mask(m0));
+        load_b(b1, src + kNr, tap.mask(m1));
         x0 += arow[0] * b0;
         y0 += arow[0] * b1;
         x1 += arow[1] * b0;
@@ -188,15 +247,18 @@ void micro_kernel_x2(std::int64_t kc, const float* ap, const float* bp0,
     store_panel(acc1, c + kNr, ldc, mr, nr1, load_c, bias, relu);
 }
 
-// Single-panel kernel with the same fused store semantics.
-void micro_kernel_f(std::int64_t kc, const float* ap, const float* bp,
+// Single-panel conv kernel with the same fused store semantics.
+void micro_kernel_f(std::int64_t pc, std::int64_t kc, const float* ap,
+                    const ConvB& b, std::int64_t jb, const std::uint32_t* m0,
                     float* c, std::int64_t ldc, std::int64_t mr,
                     std::int64_t nr, bool load_c, const float* bias,
                     bool relu) {
     Vf a0{}, a1{}, a2{}, a3{}, a4{}, a5{}, a6{}, a7{};
-    for (std::int64_t p = 0; p < kc; ++p) {
+    TapCursor tap(b, pc, jb);
+    for (std::int64_t p = 0; p < kc; ++p, tap.next()) {
         const float* arow = ap + p * kMr;
-        const Vf bv = load_vf(bp + p * kNr);
+        Vf bv;
+        load_b(bv, tap.row(), tap.mask(m0));
         a0 += arow[0] * bv;
         a1 += arow[1] * bv;
         a2 += arow[2] * bv;
@@ -228,17 +290,21 @@ void micro_kernel(std::int64_t kc, float alpha, const float* ap,
     }
 }
 
-void micro_kernel_f(std::int64_t kc, const float* ap, const float* bp,
+void micro_kernel_f(std::int64_t pc, std::int64_t kc, const float* ap,
+                    const ConvB& b, std::int64_t jb, const std::uint32_t* m0,
                     float* c, std::int64_t ldc, std::int64_t mr,
                     std::int64_t nr, bool load_c, const float* bias,
                     bool relu) {
     float acc[kMr][kNr] = {};
-    for (std::int64_t p = 0; p < kc; ++p) {
+    TapCursor tap(b, pc, jb);
+    for (std::int64_t p = 0; p < kc; ++p, tap.next()) {
         const float* arow = ap + p * kMr;
-        const float* brow = bp + p * kNr;
+        const float* brow = tap.row();
+        const std::uint32_t* mask = tap.mask(m0);
         for (std::int64_t r = 0; r < kMr; ++r) {
             const float av = arow[r];
-            for (std::int64_t j = 0; j < kNr; ++j) acc[r][j] += av * brow[j];
+            for (std::int64_t j = 0; j < kNr; ++j)
+                acc[r][j] += av * masked(brow[j], mask[j]);
         }
     }
     for (std::int64_t r = 0; r < mr; ++r) {
@@ -252,12 +318,15 @@ void micro_kernel_f(std::int64_t kc, const float* ap, const float* bp,
     }
 }
 
-void micro_kernel_x2(std::int64_t kc, const float* ap, const float* bp0,
-                     const float* bp1, float* c, std::int64_t ldc,
+void micro_kernel_x2(std::int64_t pc, std::int64_t kc, const float* ap,
+                     const ConvB& b, std::int64_t jb, const std::uint32_t* m0,
+                     const std::uint32_t* m1, float* c, std::int64_t ldc,
                      std::int64_t mr, std::int64_t nr1, bool load_c,
                      const float* bias, bool relu) {
-    micro_kernel_f(kc, ap, bp0, c, ldc, mr, kNr, load_c, bias, relu);
-    micro_kernel_f(kc, ap, bp1, c + kNr, ldc, mr, nr1, load_c, bias, relu);
+    micro_kernel_f(pc, kc, ap, b, jb, m0, c, ldc, mr, kNr, load_c, bias,
+                   relu);
+    micro_kernel_f(pc, kc, ap, b, jb + kNr, m1, c + kNr, ldc, mr, nr1,
+                   load_c, bias, relu);
 }
 #endif
 
@@ -473,14 +542,50 @@ void gemm(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
     gemm_impl(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, true);
 }
 
-void gemm_prepacked_tiles(const PackedGemmA& pa, const float* a_raw,
-                          std::int64_t lda, const float* packed_b,
-                          std::int64_t n, float* c, std::int64_t ldc,
-                          const float* bias, bool relu, std::int64_t tile_lo,
-                          std::int64_t tile_hi) {
-    const std::int64_t m = pa.m, k = pa.k;
+std::int64_t conv_b_tables(std::int64_t h, std::int64_t w, std::int64_t k,
+                           std::vector<std::int64_t>& tap_offset,
+                           std::vector<std::uint32_t>& lane_mask) {
+    const std::int64_t hw = h * w, pad = (k - 1) / 2, taps = k * k;
+    const std::int64_t panels = hw / std::gcd(hw, kNr);  // lcm(hw, kNr)/kNr
+    tap_offset.resize(static_cast<std::size_t>(taps));
+    for (std::int64_t ki = 0; ki < k; ++ki)
+        for (std::int64_t kj = 0; kj < k; ++kj)
+            tap_offset[static_cast<std::size_t>(ki * k + kj)] =
+                (ki - pad) * w + (kj - pad);
+    lane_mask.resize(static_cast<std::size_t>(panels * taps * kNr));
+    // (oi, oj): output pixel of column pp·kNr + l inside its image.
+    std::int64_t oi = 0, oj = 0;
+    for (std::int64_t pp = 0; pp < panels; ++pp) {
+        std::uint32_t* block = lane_mask.data() + pp * taps * kNr;
+        for (std::int64_t l = 0; l < kNr; ++l) {
+            for (std::int64_t ki = 0; ki < k; ++ki) {
+                const std::int64_t ii = oi + ki - pad;
+                for (std::int64_t kj = 0; kj < k; ++kj) {
+                    const std::int64_t jj = oj + kj - pad;
+                    const bool inside = ii >= 0 && ii < h && jj >= 0 && jj < w;
+                    block[(ki * k + kj) * kNr + l] = inside ? ~0u : 0u;
+                }
+            }
+            if (++oj == w) {
+                oj = 0;
+                if (++oi == h) oi = 0;
+            }
+        }
+    }
+    return panels;
+}
+
+void gemm_conv_tiles(const PackedGemmA& pa, const float* a_raw,
+                     std::int64_t lda, const ConvB& b, float* c,
+                     std::int64_t ldc, const float* bias, bool relu,
+                     std::int64_t tile_lo, std::int64_t tile_hi) {
+    const std::int64_t m = pa.m, k = pa.k, n = b.cols;
     const std::int64_t row_panels = (m + kMr - 1) / kMr;
-    const std::int64_t block_panels = kNc / kNr;  // panels per full n-block
+    const std::int64_t mask_stride = b.taps * kNr;  // per panel position
+    // Mask block of the panel after the one at `pp`, wrapping at the period.
+    const auto next_panel = [&b](std::int64_t pp) {
+        return pp + 1 == b.mask_panels ? 0 : pp + 1;
+    };
     for (std::int64_t t = tile_lo; t < tile_hi; ++t) {
         const std::int64_t nb = t / row_panels;  // n-block index
         const std::int64_t ip = t % row_panels;  // row-panel index
@@ -490,46 +595,42 @@ void gemm_prepacked_tiles(const PackedGemmA& pa, const float* a_raw,
         const std::int64_t i_hi = std::min(m, ib + kMr);
         const std::int64_t mr = i_hi - ib;
         const std::int64_t blk_panels = (j1 - jc + kNr - 1) / kNr;
-        // The n-block's packed region: full blocks before it hold
-        // block_panels panels each, k rows, kNr lanes.
-        const float* bblock = packed_b + nb * block_panels * k * kNr;
+        const std::int64_t pp0 = (jc / kNr) % b.mask_panels;
 
         if (pa.sparse) {
-            // Zero-skip kernel over packed panels: pays only for non-zero
-            // weights (pruned layers).
-            for (std::int64_t i = ib; i < i_hi; ++i)
-                std::fill(c + i * ldc + jc, c + i * ldc + j1, 0.0f);
-            for (std::int64_t pc = 0; pc < k; pc += kKc) {
-                const std::int64_t k1 = std::min(k, pc + kKc);
-                const std::int64_t kc = k1 - pc;
-                const float* bsub = bblock + blk_panels * pc * kNr;
-                for (std::int64_t i = ib; i < i_hi; ++i) {
-                    const float* ai = a_raw + i * lda;
-                    float* ci = c + i * ldc + jc;
-                    for (std::int64_t p = pc; p < k1; ++p) {
-                        const float aip = ai[p];
-                        if (aip == 0.0f) continue;
-                        const float* brow = bsub + (p - pc) * kNr;
-                        for (std::int64_t jp = 0; jp < blk_panels; ++jp) {
-                            const float* bp = brow + jp * kc * kNr;
-                            float* cp = ci + jp * kNr;
-                            const std::int64_t nr =
-                                std::min(kNr, j1 - jc - jp * kNr);
-                            for (std::int64_t l = 0; l < nr; ++l)
-                                cp[l] += aip * bp[l];
-                        }
+            // Zero-skip kernel: pays only for non-zero weights (pruned
+            // layers). Each C element accumulates its non-zero taps in
+            // ascending p, exactly like the dense k-block order.
+            for (std::int64_t i = ib; i < i_hi; ++i) {
+                const float* ai = a_raw + i * lda;
+                float* ci = c + i * ldc + jc;
+                std::fill(ci, ci + (j1 - jc), 0.0f);
+                TapCursor tap(b, 0, jc);
+                for (std::int64_t p = 0; p < k; ++p, tap.next()) {
+                    const float aip = ai[p];
+                    if (aip == 0.0f) continue;
+                    const float* brow = tap.row();
+                    std::int64_t pp = pp0;
+                    for (std::int64_t jp = 0; jp < blk_panels; ++jp) {
+                        const float* bp = brow + jp * kNr;
+                        const std::uint32_t* mask =
+                            tap.mask(b.lane_mask + pp * mask_stride);
+                        float* cp = ci + jp * kNr;
+                        const std::int64_t nr =
+                            std::min(kNr, j1 - jc - jp * kNr);
+                        for (std::int64_t l = 0; l < nr; ++l)
+                            cp[l] += aip * masked(bp[l], mask[l]);
+                        pp = next_panel(pp);
                     }
                 }
-            }
-            if (bias != nullptr || relu) {
-                for (std::int64_t i = ib; i < i_hi; ++i) {
+                if (bias != nullptr || relu) {
                     const float add = bias ? bias[i] : 0.0f;
-                    float* ci = c + i * ldc;
                     if (relu) {
-                        for (std::int64_t j = jc; j < j1; ++j)
+                        for (std::int64_t j = 0; j < j1 - jc; ++j)
                             ci[j] = std::max(ci[j] + add, 0.0f);
                     } else {
-                        for (std::int64_t j = jc; j < j1; ++j) ci[j] += add;
+                        for (std::int64_t j = 0; j < j1 - jc; ++j)
+                            ci[j] += add;
                     }
                 }
             }
@@ -539,9 +640,6 @@ void gemm_prepacked_tiles(const PackedGemmA& pa, const float* a_raw,
         for (std::int64_t pc = 0; pc < k; pc += kKc) {
             const std::int64_t k1 = std::min(k, pc + kKc);
             const std::int64_t kc = k1 - pc;
-            // Sub-block for this k range: previous k-blocks hold
-            // blk_panels · kc' · kNr floats, and Σ kc' = pc.
-            const float* bsub = bblock + blk_panels * pc * kNr;
             // Fused store semantics: the first k-block stores (no C read or
             // zeroing pass), later blocks accumulate, and the last applies
             // bias/ReLU — C is touched exactly once per k-block.
@@ -551,18 +649,24 @@ void gemm_prepacked_tiles(const PackedGemmA& pa, const float* a_raw,
             const bool relu_here = last && relu;
             const float* ap =
                 pa.panels.data() + row_panels * kMr * pc + ip * kc * kMr;
+            std::int64_t pp = pp0;
             std::int64_t jp = 0;
             for (; jp + 1 < blk_panels; jp += 2) {
                 const std::int64_t jb = jc + jp * kNr;
                 const std::int64_t nr1 = std::min(kNr, j1 - jb - kNr);
-                micro_kernel_x2(kc, ap, bsub + jp * kc * kNr,
-                                bsub + (jp + 1) * kc * kNr, c + ib * ldc + jb,
-                                ldc, mr, nr1, load_c, bias_row, relu_here);
+                const std::int64_t pp1 = next_panel(pp);
+                micro_kernel_x2(pc, kc, ap, b, jb,
+                                b.lane_mask + pp * mask_stride,
+                                b.lane_mask + pp1 * mask_stride,
+                                c + ib * ldc + jb, ldc, mr, nr1, load_c,
+                                bias_row, relu_here);
+                pp = next_panel(pp1);
             }
             if (jp < blk_panels) {
                 const std::int64_t jb = jc + jp * kNr;
                 const std::int64_t nr = std::min(kNr, j1 - jb);
-                micro_kernel_f(kc, ap, bsub + jp * kc * kNr,
+                micro_kernel_f(pc, kc, ap, b, jb,
+                               b.lane_mask + pp * mask_stride,
                                c + ib * ldc + jb, ldc, mr, nr, load_c,
                                bias_row, relu_here);
             }

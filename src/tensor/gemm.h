@@ -1,5 +1,7 @@
 // Blocked single-precision GEMM: C = alpha * op(A) * op(B) + beta * C.
-// This is the workhorse behind Conv2d (via im2col) and Linear layers.
+// This is the workhorse behind Conv2d (via im2col) and Linear layers; the
+// inference engine's conv step reads its activation directly as the B
+// operand (gemm_conv_tiles).
 #pragma once
 
 #include "tensor/tensor.h"
@@ -21,8 +23,8 @@ void gemm_serial(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
 
 // Reusable packed-A operand for repeated GEMMs against one left-hand matrix.
 // The inference engine packs each conv layer's folded weights once per
-// refresh and runs the whole batch through them as one tiled GEMM
-// (gemm_prepacked_tiles, DESIGN.md §6) — the per-call sparsity scan and
+// refresh and runs the whole batch through them as one implicit GEMM
+// (gemm_conv_tiles, DESIGN.md §6) — the per-call sparsity scan and
 // A-packing of gemm() disappear from the batch loop. A row-sparse matrix
 // (pruned weights) is detected at pack time and multiplied through the
 // zero-skip path instead of packed panels.
@@ -37,8 +39,8 @@ void gemm_pack_a(std::int64_t m, std::int64_t k, const float* a,
                  std::int64_t lda, PackedGemmA& out);
 
 // C (m×n) = alpha·A·B + beta·C with A prepacked by gemm_pack_a: the
-// single-shot form of the prepacked family (the engine's conv path uses
-// gemm_prepacked_tiles below; the tests pin the two against each other).
+// single-shot form over an explicit B (the engine's conv path uses
+// gemm_conv_tiles below).
 // Serial — safe inside pool workers. `a_raw`/`lda` must describe the matrix
 // that was packed (the sparse path reads it directly).
 void gemm_prepacked_serial(const PackedGemmA& pa, const float* a_raw,
@@ -46,41 +48,60 @@ void gemm_prepacked_serial(const PackedGemmA& pa, const float* a_raw,
                            const float* b, std::int64_t ldb, float beta,
                            float* c, std::int64_t ldc);
 
-// ---- fully-prepacked tiled GEMM (the inference engine's conv path) ----
+// ---- implicit-GEMM conv tiles (the inference engine's conv path) ----
 //
-// B lives in the packed panel-block layout that im2col_pack_b emits
-// directly (no separate pack_b pass): for each kNc-wide n-block, for each
-// kKc-deep k-block, kNr-wide column panels, k-major inside a panel,
-// zero-padded to kNr. The panel geometry is shared with tensor/im2col.cpp.
+// B is the virtual (cin·k² × n·H·W) im2col matrix of a stride-1 conv with
+// 2·pad = k − 1, never materialised: the micro-kernels load each B row —
+// tap (c, ki, kj) across kNr output columns starting at jb — straight from
+// the channel-major activation at c·cols + jb + (ki − pad)·W + (kj − pad),
+// and AND it with a per-layer lane mask that zeroes the taps falling
+// outside the image (exactly the zeros an explicit im2col would hold).
 constexpr std::int64_t kPackMr = 8;     // row-panel height (micro-kernel)
 constexpr std::int64_t kPackNr = 16;    // column-panel width
 constexpr std::int64_t kPackKc = 256;   // k-block depth
 constexpr std::int64_t kPackNc = 1024;  // n-block width
 
-// Number of kNr-wide column panels of an n-column packed B.
-inline std::int64_t packed_b_panels(std::int64_t n) {
-    return (n + kPackNr - 1) / kPackNr;
-}
-// Total floats of a packed (k × n) B.
-inline std::int64_t packed_b_size(std::int64_t k, std::int64_t n) {
-    return packed_b_panels(n) * k * kPackNr;
-}
-// Tiles of the (row-panel × n-block) grid gemm_prepacked_tiles walks.
+// Tiles of the (row-panel × n-block) grid gemm_conv_tiles walks.
 inline std::int64_t gemm_tile_count(std::int64_t m, std::int64_t n) {
     return ((m + kPackMr - 1) / kPackMr) * ((n + kPackNc - 1) / kPackNc);
 }
 
-// C (m×n) = A·B for the tile range [tile_lo, tile_hi), with an optional
-// fused per-row bias (+ ReLU) epilogue applied while the tile is cache-hot.
-// Tiles write disjoint C regions, so callers parallelize by splitting the
-// tile range across workers. beta = 0 semantics (C is overwritten). A
-// row-sparse A (pruned weights) runs a zero-skip kernel over the same
-// packed B.
-void gemm_prepacked_tiles(const PackedGemmA& pa, const float* a_raw,
-                          std::int64_t lda, const float* packed_b,
-                          std::int64_t n, float* c, std::int64_t ldc,
-                          const float* bias, bool relu, std::int64_t tile_lo,
-                          std::int64_t tile_hi);
+// The B operand of gemm_conv_tiles. Image i's channel c starts at
+// x + c·cols + i·H·W. Tap loads reach conv_b_guard(W, k) floats before
+// channel 0 and past the last channel, so the activation must sit between
+// guard bands at least that wide (their contents are masked or land in
+// columns that are never stored).
+struct ConvB {
+    const float* x = nullptr;
+    std::int64_t cols = 0;  // n·H·W: B's column count and the channel stride
+    std::int64_t taps = 0;  // k²
+    const std::int64_t* tap_offset = nullptr;  // (ki − pad)·W + (kj − pad)
+    // [panel % mask_panels][tap][kPackNr] lanes, all-ones or zero. A
+    // panel's in-image pattern repeats every lcm(H·W, kPackNr) columns.
+    const std::uint32_t* lane_mask = nullptr;
+    std::int64_t mask_panels = 0;
+};
+
+inline std::int64_t conv_b_guard(std::int64_t w, std::int64_t k) {
+    return (k - 1) / 2 * (w + 1) + kPackNr;
+}
+
+// Build the per-layer ConvB tables of an H×W map and a k×k kernel into
+// grow-only storage; returns mask_panels.
+std::int64_t conv_b_tables(std::int64_t h, std::int64_t w, std::int64_t k,
+                           std::vector<std::int64_t>& tap_offset,
+                           std::vector<std::uint32_t>& lane_mask);
+
+// C (m×b.cols) = A·B for the tile range [tile_lo, tile_hi), with an
+// optional fused per-row bias (+ ReLU) epilogue applied while the tile is
+// cache-hot. Tiles write disjoint C regions, so callers parallelize by
+// splitting the tile range across workers. beta = 0 semantics (C is
+// overwritten). A row-sparse A (pruned weights) runs a zero-skip kernel
+// over the same B.
+void gemm_conv_tiles(const PackedGemmA& pa, const float* a_raw,
+                     std::int64_t lda, const ConvB& b, float* c,
+                     std::int64_t ldc, const float* bias, bool relu,
+                     std::int64_t tile_lo, std::int64_t tile_hi);
 
 // Convenience wrappers on rank-2 tensors.
 Tensor matmul(const Tensor& a, const Tensor& b);            // A·B

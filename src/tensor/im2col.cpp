@@ -1,7 +1,5 @@
 #include "tensor/im2col.h"
 
-#include "tensor/gemm.h"
-
 #include <cstdint>
 #include <algorithm>
 #include <cstring>
@@ -61,299 +59,6 @@ void im2col(const float* x, std::int64_t channels, std::int64_t height,
                         const std::int64_t jj = oj * stride - pad + kj;
                         orow[oj] = (jj >= 0 && jj < width) ? xrow[jj] : 0.0f;
                     }
-                }
-            }
-        }
-    }
-}
-
-void im2col_pack_b(const float* x, std::int64_t n_imgs, std::int64_t channels,
-                   std::int64_t height, std::int64_t width,
-                   std::int64_t stride_img, std::int64_t stride_c,
-                   std::int64_t kh, std::int64_t kw, std::int64_t stride,
-                   std::int64_t pad, float* packed, std::int64_t panel_lo,
-                   std::int64_t panel_hi) {
-    const std::int64_t out_h = conv_out_size(height, kh, stride, pad);
-    const std::int64_t out_w = conv_out_size(width, kw, stride, pad);
-    const std::int64_t out_hw = out_h * out_w;
-    const std::int64_t n_cols = n_imgs * out_hw;
-    const std::int64_t k = channels * kh * kw;
-    const std::int64_t total_panels = packed_b_panels(n_cols);
-    const std::int64_t block_panels = kPackNc / kPackNr;  // panels per n-block
-    // One past the last input float — bound for the over-copy fast path.
-    const float* const x_limit = x + (n_imgs - 1) * stride_img +
-                                 (channels - 1) * stride_c + height * width;
-
-    // A panel's lane → (image, output row, output col) decomposition is
-    // independent of the patch row, so it is segmented into same-image
-    // same-output-row runs ONCE per panel; the patch-row sweep then only
-    // shifts each run by (ki, kj) — no divisions in the hot loop.
-    struct Run {
-        std::int64_t lane, len, oi, oj;
-        const float* img_base;  // input image origin (channel 0)
-    };
-
-    for (std::int64_t g = panel_lo; g < panel_hi; ++g) {
-        const std::int64_t nb = g / block_panels;       // n-block index
-        const std::int64_t jp = g - nb * block_panels;  // panel within block
-        const std::int64_t jb = g * kPackNr;            // first global column
-        const std::int64_t blk_panels =
-            std::min(block_panels, total_panels - nb * block_panels);
-        float* const block = packed + nb * block_panels * k * kPackNr;
-
-        Run runs[kPackNr];
-        std::int64_t n_runs = 0;
-        std::int64_t lane = 0;
-        while (lane < kPackNr && jb + lane < n_cols) {
-            const std::int64_t j = jb + lane;
-            const std::int64_t img = j / out_hw;
-            const std::int64_t pos = j - img * out_hw;
-            const std::int64_t oi = pos / out_w;
-            const std::int64_t oj = pos - oi * out_w;
-            const std::int64_t len =
-                std::min({kPackNr - lane, out_w - oj, n_cols - j});
-            runs[n_runs++] = Run{lane, len, oi, oj, x + img * stride_img};
-            lane += len;
-        }
-        const std::int64_t lane_end = lane;  // zero tail beyond this
-
-        // --- stride-1 fast paths -------------------------------------------
-        // The patch-row sweep repeats the same copy geometry for every
-        // channel, so the per-(ki, kj) bounds work is hoisted into a plan
-        // built ONCE per panel and replayed `channels` times with only the
-        // source base changing. Two variants:
-        //  · merged: channel-major input ("same" conv: out == in spatial
-        //    dims) makes the panel's lanes one contiguous input span per
-        //    channel — each patch row is a single shifted kPackNr-float copy
-        //    plus a precomputed boundary zero-mask.
-        //  · ops: otherwise each (run × patch row) becomes one precomputed
-        //    {zero-pre, copy, zero-post} op.
-        if (stride == 1 && kh * kw <= 16) {
-            const std::int64_t kk = kh * kw;
-            std::int64_t p = 0, pc = 0, kc = std::min(kPackKc, k);
-            float* dst = block + jp * kc * kPackNr;
-            if (stride_img == height * width && out_h == height &&
-                out_w == width) {
-                // Merged plan: src_off may be negative or past the channel
-                // plane at the array edges; [lo, hi) clamps the copy to valid
-                // input and the mask re-zeroes every lane the copy skipped
-                // or that reads across a row/image boundary.
-                struct MergedRow {
-                    std::int64_t src_off, lo, hi;
-                    std::uint32_t mask;
-                };
-                MergedRow rows[16];
-                const std::int64_t plane = n_imgs * height * width;
-                for (std::int64_t ki = 0; ki < kh; ++ki) {
-                    for (std::int64_t kj = 0; kj < kw; ++kj) {
-                        MergedRow& row = rows[ki * kw + kj];
-                        std::uint32_t mask = 0;
-                        for (std::int64_t r = 0; r < n_runs; ++r) {
-                            const Run& run = runs[r];
-                            const std::int64_t ii = run.oi - pad + ki;
-                            if (ii < 0 || ii >= height) {
-                                for (std::int64_t i = 0; i < run.len; ++i)
-                                    mask |= 1u << (run.lane + i);
-                                continue;
-                            }
-                            const std::int64_t jj0 = run.oj - pad + kj;
-                            for (std::int64_t i = 0; i < run.len; ++i)
-                                if (jj0 + i < 0 || jj0 + i >= width)
-                                    mask |= 1u << (run.lane + i);
-                        }
-                        const std::int64_t off =
-                            jb + (ki - pad) * width + (kj - pad);
-                        const std::int64_t lo =
-                            std::min(lane_end, std::max<std::int64_t>(0, -off));
-                        const std::int64_t hi =
-                            std::max(lo, std::min(lane_end, plane - off));
-                        for (std::int64_t l = 0; l < lo; ++l) mask |= 1u << l;
-                        for (std::int64_t l = hi; l < lane_end; ++l)
-                            mask |= 1u << l;
-                        row.src_off = off;
-                        row.lo = lo;
-                        row.hi = hi;
-                        row.mask = mask;
-                    }
-                }
-                for (std::int64_t c = 0; c < channels; ++c) {
-                    const float* xc = x + c * stride_c;
-                    for (std::int64_t q = 0; q < kk; ++q, ++p) {
-                        if (p == pc + kc) {
-                            pc += kc;
-                            kc = std::min(kPackKc, k - pc);
-                            dst = block + blk_panels * pc * kPackNr +
-                                  jp * kc * kPackNr;
-                        }
-                        const MergedRow& row = rows[q];
-                        if (row.lo == 0 && row.hi == kPackNr) {
-                            std::memcpy(dst, xc + row.src_off,
-                                        kPackNr * sizeof(float));
-                        } else if (row.hi > row.lo) {
-                            std::memcpy(dst + row.lo,
-                                        xc + row.src_off + row.lo,
-                                        static_cast<std::size_t>(row.hi -
-                                                                 row.lo) *
-                                            sizeof(float));
-                        }
-                        for (std::uint32_t m = row.mask; m != 0; m &= m - 1)
-                            dst[__builtin_ctz(m)] = 0.0f;
-                        for (std::int64_t l = lane_end; l < kPackNr; ++l)
-                            dst[l] = 0.0f;
-                        dst += kPackNr;
-                    }
-                }
-                continue;
-            }
-            // Op plan: `base` folds the run's image origin and the row/col
-            // shift; only the channel offset is added per replay.
-            struct PackOp {
-                const float* base;
-                std::uint8_t dst, pre, len, post;
-            };
-            PackOp ops[16 * 16];
-            std::int64_t row_start[17];
-            std::int64_t n_ops = 0;
-            for (std::int64_t ki = 0; ki < kh; ++ki) {
-                for (std::int64_t kj = 0; kj < kw; ++kj) {
-                    row_start[ki * kw + kj] = n_ops;
-                    for (std::int64_t r = 0; r < n_runs; ++r) {
-                        const Run& run = runs[r];
-                        PackOp& op = ops[n_ops++];
-                        op.dst = static_cast<std::uint8_t>(run.lane);
-                        const std::int64_t ii = run.oi - pad + ki;
-                        if (ii < 0 || ii >= height) {
-                            op.base = run.img_base;  // unused (len 0)
-                            op.pre = static_cast<std::uint8_t>(run.len);
-                            op.len = 0;
-                            op.post = 0;
-                            continue;
-                        }
-                        const std::int64_t jj0 = run.oj - pad + kj;
-                        const std::int64_t lo = std::min(
-                            run.len, std::max<std::int64_t>(0, -jj0));
-                        const std::int64_t hi =
-                            std::max(lo, std::min(run.len, width - jj0));
-                        op.base = run.img_base + ii * width + jj0 + lo;
-                        op.pre = static_cast<std::uint8_t>(lo);
-                        op.len = static_cast<std::uint8_t>(hi - lo);
-                        op.post = static_cast<std::uint8_t>(run.len - hi);
-                    }
-                }
-            }
-            row_start[kk] = n_ops;
-            for (std::int64_t c = 0; c < channels; ++c) {
-                const std::int64_t c_off = c * stride_c;
-                for (std::int64_t q = 0; q < kk; ++q, ++p) {
-                    if (p == pc + kc) {
-                        pc += kc;
-                        kc = std::min(kPackKc, k - pc);
-                        dst = block + blk_panels * pc * kPackNr +
-                              jp * kc * kPackNr;
-                    }
-                    for (std::int64_t o = row_start[q]; o < row_start[q + 1];
-                         ++o) {
-                        const PackOp& op = ops[o];
-                        float* out = dst + op.dst;
-                        for (std::int64_t i = 0; i < op.pre; ++i)
-                            out[i] = 0.0f;
-                        out += op.pre;
-                        if (op.len == kPackNr) {
-                            std::memcpy(out, op.base + c_off,
-                                        kPackNr * sizeof(float));
-                        } else {
-                            const float* src = op.base + c_off;
-                            for (std::int64_t i = 0; i < op.len; ++i)
-                                out[i] = src[i];
-                        }
-                        out += op.len;
-                        for (std::int64_t i = 0; i < op.post; ++i)
-                            out[i] = 0.0f;
-                    }
-                    for (std::int64_t l = lane_end; l < kPackNr; ++l)
-                        dst[l] = 0.0f;
-                    dst += kPackNr;
-                }
-            }
-            continue;
-        }
-        // -------------------------------------------------------------------
-
-        std::int64_t p = 0;  // row index (c, ki, kj)
-        std::int64_t pc = 0, kc = std::min(kPackKc, k);
-        float* dst =
-            block + jp * kc * kPackNr;  // row p's 16 lanes; advances by kNr
-        for (std::int64_t c = 0; c < channels; ++c) {
-            const std::int64_t c_off = c * stride_c;
-            for (std::int64_t ki = 0; ki < kh; ++ki) {
-                for (std::int64_t kj = 0; kj < kw; ++kj, ++p) {
-                    if (p == pc + kc) {  // entered the next k-block
-                        pc += kc;
-                        kc = std::min(kPackKc, k - pc);
-                        dst = block + blk_panels * pc * kPackNr +
-                              jp * kc * kPackNr;
-                    }
-                    for (std::int64_t r = 0; r < n_runs; ++r) {
-                        const Run& run = runs[r];
-                        float* out = dst + run.lane;
-                        const std::int64_t ii = run.oi * stride - pad + ki;
-                        if (ii < 0 || ii >= height) {
-                            for (std::int64_t i = 0; i < run.len; ++i)
-                                out[i] = 0.0f;
-                            continue;
-                        }
-                        const float* xrow =
-                            run.img_base + c_off + ii * width;
-                        if (stride == 1) {
-                            const std::int64_t jj0 = run.oj - pad + kj;
-                            // Full-width interior run: fixed-size copy the
-                            // compiler lowers to two vector moves (the
-                            // dominant case away from the padded borders).
-                            if (run.len == kPackNr && jj0 >= 0 &&
-                                jj0 + kPackNr <= width) {
-                                std::memcpy(out, xrow + jj0,
-                                            kPackNr * sizeof(float));
-                                continue;
-                            }
-                            // Valid input span within [jj0, jj0 + len).
-                            const std::int64_t lo =
-                                std::min(run.len,
-                                         std::max<std::int64_t>(0, -jj0));
-                            const std::int64_t hi = std::max(
-                                lo, std::min(run.len, width - jj0));
-                            // Short interior run (small spatial maps): copy
-                            // a full fixed-size vector and let the lanes
-                            // beyond the run be overwritten by the runs and
-                            // rows that follow. Illegal only on the last row
-                            // of a k-sub-block (the overrun would cross into
-                            // another worker's panel) or past the input.
-                            if (lo == 0 && hi == run.len &&
-                                p - pc < kc - 1 &&
-                                xrow + jj0 + kPackNr <= x_limit) {
-                                std::memcpy(out, xrow + jj0,
-                                            kPackNr * sizeof(float));
-                                continue;
-                            }
-                            for (std::int64_t i = 0; i < lo; ++i)
-                                out[i] = 0.0f;
-                            if (hi > lo)
-                                std::memcpy(out + lo, xrow + jj0 + lo,
-                                            static_cast<std::size_t>(hi - lo) *
-                                                sizeof(float));
-                            for (std::int64_t i = hi; i < run.len; ++i)
-                                out[i] = 0.0f;
-                        } else {
-                            for (std::int64_t i = 0; i < run.len; ++i) {
-                                const std::int64_t jj =
-                                    (run.oj + i) * stride - pad + kj;
-                                out[i] = (jj >= 0 && jj < width) ? xrow[jj]
-                                                                 : 0.0f;
-                            }
-                        }
-                    }
-                    for (std::int64_t l = lane_end; l < kPackNr; ++l)
-                        dst[l] = 0.0f;
-                    dst += kPackNr;
                 }
             }
         }

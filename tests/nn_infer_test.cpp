@@ -2,6 +2,7 @@
 //  * steady-state forwards allocate nothing (counting operator new);
 //  * the folded/fused path matches the reference layer-by-layer forward;
 //  * MAC-matrix overrides match inject_matrix semantics;
+//  * forward_batched logits match golden digests bit for bit;
 //  * evaluate_on_crossbars stays deterministic under the overlapped
 //    repeat pipeline.
 #include "core/evaluator.h"
@@ -90,7 +91,8 @@ TEST(InferenceEngine, SteadyStateAllocatesNothing) {
 
     Tensor x({8, 3, 16, 16});
     tensor::fill_normal(x, rng, 0.0f, 1.0f);
-    // Warm-up: grows arenas, shapes, im2col scratch, and pack buffers.
+    // Warm-up: grows arenas and their guard bands, shapes, the CN input
+    // copy, and the conv mask tables.
     engine.forward(x);
     engine.forward(x);
 
@@ -298,7 +300,7 @@ TEST(InferenceEngine, BatchedForwardSteadyStateAllocatesNothing) {
         ptrs.push_back(&inst);
     }
 
-    // Warm-up grows the batch arenas and pack scratch.
+    // Warm-up grows the batch arenas and the conv scratch.
     engine.forward_batched(x.data(), x.shape(), ptrs.data(), ptrs.size());
     engine.forward_batched(x.data(), x.shape(), ptrs.data(), ptrs.size());
 
@@ -309,6 +311,70 @@ TEST(InferenceEngine, BatchedForwardSteadyStateAllocatesNothing) {
     for (std::size_t slot = 0; slot < engine.mappable_count(); ++slot)
         engine.compile_instance_slot(slot, nullptr, insts[0]);
     EXPECT_EQ(t_alloc_count, before);
+}
+
+// FNV-1a over the logit bytes of forward_batched for a small VGG11 whose
+// lanes carry per-lane degraded MAC matrices. conv3 (8×8 maps) and conv7
+// (2×2 maps, patch 288 > one k-block, 5·2·2 = 20 columns: a partial panel)
+// are 90 % zero so their packs take the row-sparse path; every other layer
+// stays dense. The first conv's lanes share the caller's input.
+std::uint64_t vgg_forward_digest(std::size_t lanes) {
+    VggConfig vc;
+    vc.width = 0.0625;
+    util::Rng rng(16);
+    Sequential model = build_vgg(vc, rng);
+    warm_batchnorm(model, rng, /*spatial=*/32);
+    InferenceEngine engine(model);
+    Tensor x({5, 3, 32, 32});
+    tensor::fill_normal(x, rng, 0.0f, 1.0f);
+
+    const auto layers = map::mappable_layers(model);
+    std::vector<std::vector<Tensor>> degraded(lanes);
+    std::vector<CompiledInstance> insts(lanes);
+    std::vector<const CompiledInstance*> ptrs;
+    for (std::size_t r = 0; r < lanes; ++r) {
+        std::vector<const Tensor*> ov;
+        for (std::size_t l = 0; l < layers.size(); ++l) {
+            Tensor d = map::extract_matrix(*layers[l]);
+            const bool sparse = l == 2 || l == 6;
+            for (std::int64_t i = 0; i < d.numel(); ++i) {
+                d[i] *= 0.85f + 0.3f * static_cast<float>(rng.uniform());
+                if (sparse && rng.uniform() < 0.9) d[i] = 0.0f;
+            }
+            degraded[r].push_back(std::move(d));
+        }
+        for (const Tensor& d : degraded[r]) ov.push_back(&d);
+        engine.compile_instance(ov, insts[r]);
+        for (std::size_t l = 0; l + 1 < layers.size(); ++l)
+            EXPECT_EQ(insts[r].slots[l].wpack.sparse, l == 2 || l == 6)
+                << "conv" << l + 1;
+        ptrs.push_back(&insts[r]);
+    }
+    const Tensor& y =
+        engine.forward_batched(x.data(), x.shape(), ptrs.data(), lanes);
+    std::uint64_t h = 14695981039346656037ull;
+    const auto* b = reinterpret_cast<const unsigned char*>(y.data());
+    for (std::size_t i = 0;
+         i < static_cast<std::size_t>(y.numel()) * sizeof(float); ++i) {
+        h ^= b[i];
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+TEST(InferenceEngine, ForwardBatchedMatchesParentDigests) {
+    // Recorded on the engine that packed im2col panels before each GEMM;
+    // the implicit-GEMM conv must reproduce them bit for bit. gcc contracts
+    // multiply-adds into FMA instructions only when optimizing for an
+    // FMA-capable target, and fused results round differently, so such
+    // builds pin their own bits.
+#if defined(__FMA__) && defined(__OPTIMIZE__)
+    EXPECT_EQ(vgg_forward_digest(1), 0xd1aff25f8f7e5dc5ull) << "R=1";
+    EXPECT_EQ(vgg_forward_digest(4), 0xc9ced043a13b00e2ull) << "R=4";
+#else
+    EXPECT_EQ(vgg_forward_digest(1), 0xbf3ea24700eef296ull) << "R=1";
+    EXPECT_EQ(vgg_forward_digest(4), 0x9bb5e6bb393e441cull) << "R=4";
+#endif
 }
 
 TEST(InferenceEngine, OverlappedRepeatsAreDeterministic) {

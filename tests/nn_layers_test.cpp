@@ -1,5 +1,6 @@
 #include "nn/batchnorm.h"
 #include "nn/conv2d.h"
+#include "nn/infer.h"
 #include "nn/layers_basic.h"
 #include "nn/linear.h"
 #include "nn/loss.h"
@@ -9,6 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
+#include <utility>
 
 namespace xs::nn {
 namespace {
@@ -52,6 +56,27 @@ TEST(Conv2d, BatchIndependence) {
     const Tensor y1 = conv.forward(x1, false);
     for (std::int64_t i = 0; i < y1.numel(); ++i)
         EXPECT_FLOAT_EQ(y1[i], y2[y1.numel() + i]);
+}
+
+// The inference engine's conv step reads its input as an implicit GEMM of
+// the stride-1 "same" geometry only; any other conv is refused at engine
+// construction, naming the layer. (Kept out of nn_infer_test, whose
+// replaced operator new trips gcc's mismatched-new-delete check here.)
+TEST(InferenceEngine, RejectsConvsOutsideSameGeometry) {
+    for (const auto& [stride, pad] : {std::pair{2, 1}, std::pair{1, 0}}) {
+        util::Rng rng(10);
+        Sequential model;
+        model.add(std::make_unique<Conv2d>(3, 4, 3, 1, 1, rng), "conv1");
+        model.add(std::make_unique<Conv2d>(4, 4, 3, stride, pad, rng),
+                  "odd_conv");
+        try {
+            InferenceEngine engine(model);
+            ADD_FAILURE() << "stride " << stride << " pad " << pad
+                          << " was accepted";
+        } catch (const std::exception& e) {
+            EXPECT_NE(std::strstr(e.what(), "odd_conv"), nullptr) << e.what();
+        }
+    }
 }
 
 TEST(Linear, ForwardIsAffine) {

@@ -1,9 +1,11 @@
 #include "tensor/gemm.h"
+#include "tensor/im2col.h"
 #include "tensor/ops.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <tuple>
 #include <vector>
 
@@ -177,58 +179,90 @@ TEST(GemmPrepacked, SparseAUsesZeroSkipAndMatches) {
     EXPECT_TRUE(allclose(c, r, 1e-3f, 1e-3f));
 }
 
-// Pack B by hand into the panel-block layout (same as im2col_pack_b's
-// output) and run the tiled kernel with the fused bias+ReLU epilogue.
-void pack_b_reference(const Tensor& b, std::int64_t k, std::int64_t n,
-                      std::vector<float>& packed) {
-    packed.assign(static_cast<std::size_t>(packed_b_size(k, n)), 0.0f);
-    const std::int64_t block_panels = kPackNc / kPackNr;
-    for (std::int64_t g = 0; g < packed_b_panels(n); ++g) {
-        const std::int64_t nb = g / block_panels;
-        const std::int64_t jp = g - nb * block_panels;
-        const std::int64_t blk_panels =
-            std::min(block_panels, packed_b_panels(n) - nb * block_panels);
-        float* block = packed.data() + nb * block_panels * k * kPackNr;
-        for (std::int64_t p = 0; p < k; ++p) {
-            const std::int64_t pc = (p / kPackKc) * kPackKc;
-            const std::int64_t kc = std::min(kPackKc, k - pc);
-            float* dst = block + blk_panels * pc * kPackNr +
-                         jp * kc * kPackNr + (p - pc) * kPackNr;
-            for (std::int64_t l = 0; l < kPackNr; ++l) {
-                const std::int64_t j = g * kPackNr + l;
-                dst[l] = j < n ? b.at(p, j) : 0.0f;
+// The implicit-GEMM conv tiles against tensor::im2col + a reference matmul
+// + bias/ReLU, over every kernel the "same" geometry allows in practice,
+// maps from 1×1 to 32×32, column counts off the 16-lane grid and across
+// n-blocks, patches deeper than one k-block, and dense and 90 %-sparse
+// weights. The guard bands hold NaN: a tap that escaped its mask would
+// poison the output.
+TEST(GemmConvTiles, MatchIm2colReference) {
+    struct Map {
+        std::int64_t size, batch;
+    };
+    const std::int64_t cout = 12;  // one full and one partial row panel
+    int case_id = 0;
+    for (const std::int64_t k : {1, 3, 5}) {
+        for (const Map map : {Map{1, 5}, Map{2, 5}, Map{3, 5}, Map{6, 30},
+                              Map{32, 2}}) {
+            // A shallow patch and one deeper than a k-block (> kPackKc).
+            for (const std::int64_t cin : {std::int64_t{3}, 257 / (k * k) + 1}) {
+                for (const bool sparse : {false, true}) {
+                    ++case_id;
+                    const std::int64_t hw = map.size * map.size;
+                    const std::int64_t cols = map.batch * hw;
+                    const std::int64_t patch = cin * k * k;
+                    util::Rng rng(static_cast<std::uint64_t>(case_id));
+                    Tensor w({cout, patch}), bias({cout});
+                    fill_normal(w, rng, 0.0f, 1.0f);
+                    fill_normal(bias, rng, 0.0f, 1.0f);
+                    if (sparse)
+                        for (std::int64_t i = 0; i < w.numel(); ++i)
+                            if (rng.uniform() < 0.9) w[i] = 0.0f;
+                    // Channel-major activation between NaN guard bands.
+                    const std::int64_t guard = conv_b_guard(map.size, k);
+                    std::vector<float> act(
+                        static_cast<std::size_t>(2 * guard + cin * cols),
+                        std::numeric_limits<float>::quiet_NaN());
+                    float* x = act.data() + guard;
+                    for (std::int64_t i = 0; i < cin * cols; ++i)
+                        x[i] = static_cast<float>(rng.normal());
+
+                    PackedGemmA pa;
+                    gemm_pack_a(cout, patch, w.data(), patch, pa);
+                    EXPECT_EQ(pa.sparse, sparse && cout * patch > 1024);
+                    std::vector<std::int64_t> offsets;
+                    std::vector<std::uint32_t> masks;
+                    ConvB b;
+                    b.x = x;
+                    b.cols = cols;
+                    b.taps = k * k;
+                    b.mask_panels =
+                        conv_b_tables(map.size, map.size, k, offsets, masks);
+                    b.tap_offset = offsets.data();
+                    b.lane_mask = masks.data();
+                    const bool relu = case_id % 2 == 0;
+                    Tensor c({cout, cols});
+                    // Two calls: the tile range splits anywhere.
+                    const std::int64_t tiles = gemm_tile_count(cout, cols);
+                    gemm_conv_tiles(pa, w.data(), patch, b, c.data(), cols,
+                                    bias.data(), relu, 0, tiles / 2);
+                    gemm_conv_tiles(pa, w.data(), patch, b, c.data(), cols,
+                                    bias.data(), relu, tiles / 2, tiles);
+
+                    Tensor img({cin, map.size, map.size}), col({patch, hw});
+                    Tensor r({cout, cols});
+                    for (std::int64_t n = 0; n < map.batch; ++n) {
+                        for (std::int64_t ch = 0; ch < cin; ++ch)
+                            for (std::int64_t q = 0; q < hw; ++q)
+                                img[ch * hw + q] = x[ch * cols + n * hw + q];
+                        im2col(img.data(), cin, map.size, map.size, k, k, 1,
+                               (k - 1) / 2, col.data());
+                        const Tensor y = ref_matmul(w, col);
+                        for (std::int64_t o = 0; o < cout; ++o)
+                            for (std::int64_t q = 0; q < hw; ++q) {
+                                const float v = y.at(o, q) + bias[o];
+                                r.at(o, n * hw + q) =
+                                    relu ? std::max(v, 0.0f) : v;
+                            }
+                    }
+                    EXPECT_TRUE(allclose(c, r, 1e-3f, 1e-3f))
+                        << "k=" << k << " map=" << map.size
+                        << " batch=" << map.batch << " cin=" << cin
+                        << (sparse ? " sparse" : " dense") << " max diff "
+                        << max_abs_diff(c, r);
+                }
             }
         }
-    }
-}
-
-TEST(GemmPrepacked, TilesWithFusedEpilogueMatchReference) {
-    for (const bool sparse : {false, true}) {
-        const std::int64_t m = 24, n = 1100, k = 280;  // spans block tails
-        util::Rng rng(sparse ? 31u : 32u);
-        Tensor a({m, k}), b({k, n}), bias({m});
-        fill_normal(a, rng, 0.0f, 1.0f);
-        fill_normal(b, rng, 0.0f, 1.0f);
-        fill_normal(bias, rng, 0.0f, 1.0f);
-        if (sparse)
-            for (std::int64_t i = 0; i < a.numel(); ++i)
-                if (rng.uniform() < 0.9) a[i] = 0.0f;
-        PackedGemmA pa;
-        gemm_pack_a(m, k, a.data(), k, pa);
-        EXPECT_EQ(pa.sparse, sparse);
-        std::vector<float> packed;
-        pack_b_reference(b, k, n, packed);
-        Tensor c({m, n});
-        gemm_prepacked_tiles(pa, a.data(), k, packed.data(), n, c.data(), n,
-                             bias.data(), /*relu=*/true, 0,
-                             gemm_tile_count(m, n));
-        Tensor r = ref_matmul(a, b);
-        for (std::int64_t i = 0; i < m; ++i)
-            for (std::int64_t j = 0; j < n; ++j)
-                r.at(i, j) = std::max(r.at(i, j) + bias[i], 0.0f);
-        EXPECT_TRUE(allclose(c, r, 1e-3f, 1e-3f))
-            << (sparse ? "sparse" : "dense") << " max diff "
-            << max_abs_diff(c, r);
     }
 }
 

@@ -108,70 +108,6 @@ TEST(Im2col, PaddingProducesZeros) {
     EXPECT_FLOAT_EQ(col.at(4, 0), 1.0f);
 }
 
-TEST(Im2colPackB, MatchesPlainIm2colInPanelLayout) {
-    // The packed emitter must agree with plain per-image im2col for every
-    // panel lane, across image boundaries mid-panel (out_hw not a multiple
-    // of 16), both input layouts, and a strided kernel.
-    struct Case {
-        std::int64_t n, c, s, k, stride, pad;
-        bool cn;
-    };
-    for (const Case& cs : {Case{3, 2, 6, 3, 1, 1, false},
-                           Case{3, 2, 6, 3, 1, 1, true},
-                           Case{2, 3, 9, 3, 2, 1, false},
-                           Case{5, 1, 4, 2, 2, 0, true}}) {
-        util::Rng rng(static_cast<std::uint64_t>(cs.n * 100 + cs.s + cs.k));
-        const std::int64_t hw = cs.s * cs.s;
-        Tensor x({cs.n * cs.c * hw});
-        fill_normal(x, rng, 0.0f, 1.0f);
-        const std::int64_t s_img = cs.cn ? hw : cs.c * hw;
-        const std::int64_t s_c = cs.cn ? cs.n * hw : hw;
-
-        const std::int64_t oh = conv_out_size(cs.s, cs.k, cs.stride, cs.pad);
-        const std::int64_t ow = conv_out_size(cs.s, cs.k, cs.stride, cs.pad);
-        const std::int64_t out_hw = oh * ow;
-        const std::int64_t patch = cs.c * cs.k * cs.k;
-        const std::int64_t n_cols = cs.n * out_hw;
-
-        std::vector<float> packed(
-            static_cast<std::size_t>(packed_b_size(patch, n_cols)), -1.0f);
-        im2col_pack_b(x.data(), cs.n, cs.c, cs.s, cs.s, s_img, s_c, cs.k,
-                      cs.k, cs.stride, cs.pad, packed.data(), 0,
-                      packed_b_panels(n_cols));
-
-        // Reference: per-image im2col, gathered through the same strides.
-        Tensor img({cs.c, cs.s, cs.s});
-        Tensor col({patch, out_hw});
-        const std::int64_t block_panels = kPackNc / kPackNr;
-        for (std::int64_t i = 0; i < cs.n; ++i) {
-            for (std::int64_t ch = 0; ch < cs.c; ++ch)
-                for (std::int64_t q = 0; q < hw; ++q)
-                    img[ch * hw + q] = x[i * s_img + ch * s_c + q];
-            im2col(img.data(), cs.c, cs.s, cs.s, cs.k, cs.k, cs.stride,
-                   cs.pad, col.data());
-            for (std::int64_t p = 0; p < patch; ++p)
-                for (std::int64_t pos = 0; pos < out_hw; ++pos) {
-                    const std::int64_t j = i * out_hw + pos;  // global column
-                    const std::int64_t g = j / kPackNr, l = j % kPackNr;
-                    const std::int64_t nb = g / block_panels;
-                    const std::int64_t jp = g - nb * block_panels;
-                    const std::int64_t blk_panels = std::min(
-                        block_panels, packed_b_panels(n_cols) -
-                                          nb * block_panels);
-                    const std::int64_t pc = (p / kPackKc) * kPackKc;
-                    const std::int64_t kc = std::min(kPackKc, patch - pc);
-                    const float got =
-                        packed[static_cast<std::size_t>(
-                            nb * block_panels * patch * kPackNr +
-                            blk_panels * pc * kPackNr + jp * kc * kPackNr +
-                            (p - pc) * kPackNr + l)];
-                    EXPECT_EQ(got, col.at(p, pos))
-                        << "img " << i << " p " << p << " pos " << pos;
-                }
-        }
-    }
-}
-
 TEST(Im2col, KernelWiderThanInputPlusPad) {
     // Regression: the stride-1 fast path must clamp its edge bounds — a
     // kernel wider than width+pad pushes the raw interior span negative
