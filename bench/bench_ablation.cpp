@@ -5,7 +5,7 @@
 //
 // A thin SweepSpec driver (DESIGN.md §7): every ablation case is a
 // one-group sweep over the engine's axes (sigma, parasitic scale, faults,
-// quant-levels, mitigations), so each case inherits sharded execution,
+// quant-levels, mitigations), so each case inherits parallel execution,
 // resumable manifests, lane-batched Monte-Carlo repeats, and deterministic
 // mean±std aggregation instead of a hand-written evaluation loop.
 //
@@ -79,7 +79,6 @@ int main(int argc, char** argv) {
         spec.repeats = ctx.eval_repeats();
 
         sweep::SweepOptions opts;
-        opts.shards = flags.get_int("shards", 0);
         opts.resume = flags.get_bool("resume", false);
         opts.csv_name = std::string("ablation_") + c.slug + "_sweep.csv";
         opts.manifest_name =

@@ -6,11 +6,11 @@
 // 64×64 relative to software).
 //
 // A thin SweepSpec driver (DESIGN.md §7): the scheme × size grid runs
-// sharded and resumable, Monte-Carlo repeats aggregate to mean±std, and the
+// in parallel and resumable, Monte-Carlo repeats aggregate to mean±std, and the
 // aggregate CSV lands in results/fig3a_<variant>_cifar10.csv.
 //
 //   ./bench_fig3a [--variant=vgg11] [--sizes=16,32,64] [--backends=circuit]
-//                 [--shards=N] [--resume]
+//                 [--resume]
 #include "core/experiments.h"
 #include "sweep/runner.h"
 #include "util/flags.h"
@@ -37,7 +37,6 @@ int main(int argc, char** argv) {
     spec.repeats = ctx.eval_repeats();
 
     sweep::SweepOptions opts;
-    opts.shards = flags.get_int("shards", 0);
     opts.resume = flags.get_bool("resume", false);
     opts.csv_name = "fig3a_" + variant + "_cifar10.csv";
     opts.manifest_name = "fig3a_" + variant + "_cifar10_manifest.jsonl";

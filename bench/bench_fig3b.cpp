@@ -3,7 +3,7 @@
 // non-ideal accuracy degradation.
 //
 // Thin driver over the declarative sweep engine (sweep/runner.h): the
-// sparsity × size grid is a SweepSpec, so the bench inherits sharded
+// sparsity × size grid is a SweepSpec, so the bench inherits parallel
 // execution, the resumable manifest, and the deterministic aggregate — the
 // figure CSV is derived from the sweep rows instead of a hand-written loop.
 #include "core/experiments.h"
@@ -32,7 +32,6 @@ int main(int argc, char** argv) {
     opts.csv_name = "fig3b_sweep.csv";
     opts.manifest_name = "fig3b_manifest.jsonl";
     opts.resume = flags.get_bool("resume", false);
-    opts.shards = flags.get_int("shards", 0);
 
     std::printf("Fig 3(b): C/F-pruned VGG11 / CIFAR10-like — sparsity sweep\n\n");
     const sweep::SweepSummary summary =

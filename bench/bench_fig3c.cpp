@@ -3,11 +3,10 @@
 // the deeper network. Paper shape: same ordering at 16/32; at 64×64 the C/F
 // curve can cross above the unpruned one.
 //
-// A thin SweepSpec driver (DESIGN.md §7): sharded, resumable, repeats
+// A thin SweepSpec driver (DESIGN.md §7): parallel, resumable, repeats
 // aggregated to mean±std (results/fig3c_vgg16_cifar10.csv).
 //
-//   ./bench_fig3c [--sizes=16,32,64] [--backends=circuit] [--shards=N]
-//                 [--resume]
+//   ./bench_fig3c [--sizes=16,32,64] [--backends=circuit] [--resume]
 #include "core/experiments.h"
 #include "sweep/runner.h"
 #include "util/flags.h"
@@ -33,7 +32,6 @@ int main(int argc, char** argv) {
     spec.repeats = ctx.eval_repeats();
 
     sweep::SweepOptions opts;
-    opts.shards = flags.get_int("shards", 0);
     opts.resume = flags.get_bool("resume", false);
     opts.csv_name = "fig3c_vgg16_cifar10.csv";
     opts.manifest_name = "fig3c_vgg16_cifar10_manifest.jsonl";

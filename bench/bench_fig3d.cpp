@@ -33,7 +33,6 @@ int main(int argc, char** argv) {
     opts.csv_name = "fig3d_sweep.csv";
     opts.manifest_name = "fig3d_manifest.jsonl";
     opts.resume = flags.get_bool("resume", false);
-    opts.shards = flags.get_int("shards", 0);
 
     std::printf("Fig 3(d): average NF, unpruned vs C/F (s=%.2f) VGG11/CIFAR10\n\n",
                 s);

@@ -8,7 +8,7 @@
 // Thin driver over the declarative sweep engine (sweep/runner.h), like
 // fig3a–3d: the quantitative side of the figure — does R actually lower the
 // tile-average non-ideality factor? — is a none-vs-rearrange nf_only
-// SweepSpec, so the bench inherits sharded execution, the resumable
+// SweepSpec, so the bench inherits parallel execution, the resumable
 // manifest, and the deterministic aggregate; the historical
 // fig3f_rearrange_nf.csv is derived from the summary rows. The heatmap
 // dumps then reuse the sweep's prepared-model cache via ctx.prepared().
@@ -90,7 +90,6 @@ int main(int argc, char** argv) {
     opts.csv_name = "fig3f_sweep.csv";
     opts.manifest_name = "fig3f_manifest.jsonl";
     opts.resume = flags.get_bool("resume", false);
-    opts.shards = flags.get_int("shards", 0);
 
     std::printf("Fig 3(f): C/F-pruned %s / CIFAR10-like — rearrangement "
                 "heatmaps + NF sweep (s=%.2f)\n\n", variant.c_str(), s);

@@ -7,12 +7,12 @@
 // Thin driver over the declarative sweep engine (sweep/runner.h): each
 // scheme runs as its own SweepSpec over the size axis — the scheme set is
 // not a cartesian product (the paper applies R to the pruned model only) —
-// so the bench inherits sharded execution, resumable manifests, and
+// so the bench inherits parallel execution, resumable manifests, and
 // deterministic mean±std aggregation; the figure CSV is derived from the
 // sweep rows instead of a hand-written evaluation loop.
 //
 //   ./bench_fig4ab [--variants=vgg11,vgg16] [--sizes=16,32,64]
-//                  [--shards=N] [--resume]
+//                  [--resume]
 #include "core/experiments.h"
 #include "sweep/runner.h"
 #include "util/csv.h"
@@ -72,7 +72,6 @@ int main(int argc, char** argv) {
             spec.repeats = ctx.eval_repeats();
 
             sweep::SweepOptions opts;
-            opts.shards = flags.get_int("shards", 0);
             opts.resume = flags.get_bool("resume", false);
             opts.csv_name =
                 "fig4ab_" + variant + "_" + scheme.slug + "_sweep.csv";

@@ -7,11 +7,11 @@
 // Thin driver over the declarative sweep engine (sweep/runner.h): each
 // scheme runs as its own SweepSpec over the size axis — the scheme set is
 // not a cartesian product (WCT applies to the pruned model only) — so the
-// bench inherits sharded execution, resumable manifests, and deterministic
+// bench inherits parallel execution, resumable manifests, and deterministic
 // mean±std aggregation; the figure CSV is derived from the sweep rows
 // instead of a hand-written evaluation loop.
 //
-//   ./bench_fig4ef [--sizes=16,32,64] [--shards=N] [--resume]
+//   ./bench_fig4ef [--sizes=16,32,64] [--resume]
 #include "core/experiments.h"
 #include "sweep/runner.h"
 #include "util/csv.h"
@@ -63,7 +63,6 @@ int main(int argc, char** argv) {
             spec.repeats = ctx.eval_repeats();
 
             sweep::SweepOptions opts;
-            opts.shards = flags.get_int("shards", 0);
             opts.resume = flags.get_bool("resume", false);
             opts.csv_name = "fig4ef_c" + std::to_string(classes) + "_" +
                             scheme.slug + "_sweep.csv";

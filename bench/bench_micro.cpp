@@ -285,17 +285,17 @@ void run_evaluate_bench(benchmark::State& state) {
 
 // The repeat loop (DESIGN.md §12): every repeat's W′ compiles into a packed
 // engine instance, circuit solves batch across repeat lanes, and inference
-// runs all repeats in one pass. Argument = number of repeats. cpu_time
-// counts the calling thread only — the group pipeline compiles group g+1 on
-// a producer thread while the main thread runs batched inference on group
-// g, so wall is the number to compare across revisions.
+// runs all repeats in one pass. Argument = number of repeats. Each group
+// compiles and then infers on the calling thread; cpu_time counts that
+// thread only (pool workers' share is not in it), so wall is the number to
+// compare across revisions.
 void BM_EvaluateOnCrossbars(benchmark::State& state) {
     run_evaluate_bench(state);
 }
 BENCHMARK(BM_EvaluateOnCrossbars)->Arg(4)->Unit(benchmark::kMillisecond);
 
 // The explicitly-batched variant at both a full group (4 repeats = one
-// solver-lane group) and two pipelined groups (8): the scaling guard for
+// solver-lane group) and two consecutive groups (8): the scaling guard for
 // the compile-once/forward-batched path.
 void BM_EvaluateOnCrossbarsBatched(benchmark::State& state) {
     run_evaluate_bench(state);

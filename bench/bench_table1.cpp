@@ -2,7 +2,7 @@
 // crossbar-compression-rate on 32×32 crossbars.
 //
 // A thin SweepSpec driver (DESIGN.md §7), like the figure benches: the
-// variant × scheme grid runs one nf-only sweep per class count — sharded,
+// variant × scheme grid runs one nf-only sweep per class count — parallel,
 // resumable, manifested — and the table's software accuracies come from the
 // sweep's aggregate rows (the sweep engine resolves the same width-scaled
 // trained models through the on-disk cache). Compression rates are purely
@@ -12,7 +12,7 @@
 // magnitude of the paper's numbers (C/F ≈ 19.7× at s = 0.8, XCS/XRS ≈ 4–6×).
 //
 //   ./bench_table1 [--variants=vgg11,vgg16] [--compression-xbar=32]
-//                  [--shards=N] [--resume]
+//                  [--resume]
 #include "core/experiments.h"
 #include "map/compression.h"
 #include "nn/vgg.h"
@@ -102,7 +102,6 @@ int main(int argc, char** argv) {
         spec.nf_only = true;
 
         sweep::SweepOptions opts;
-        opts.shards = flags.get_int("shards", 0);
         opts.resume = flags.get_bool("resume", false);
         opts.csv_name = "table1_c" + std::to_string(classes) + "_sweep.csv";
         opts.manifest_name =

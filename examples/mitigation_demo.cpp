@@ -5,7 +5,7 @@
 // (results/mitigation_demo.csv).
 //
 //   ./mitigation_demo [--sparsity=0.8] [--xbar=64] [--wct-percentile=0.9]
-//                     [--backends=circuit,fast] [--shards=N] [--resume]
+//                     [--backends=circuit,fast] [--resume]
 #include "core/experiments.h"
 #include "sweep/runner.h"
 #include "util/csv.h"
@@ -35,7 +35,6 @@ int main(int argc, char** argv) {
     spec.repeats = ctx.eval_repeats();
 
     sweep::SweepOptions opts;
-    opts.shards = flags.get_int("shards", 0);
     opts.resume = flags.get_bool("resume", false);
     opts.csv_name = "mitigation_demo.csv";
     opts.manifest_name = "mitigation_demo_manifest.jsonl";

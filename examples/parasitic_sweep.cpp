@@ -1,11 +1,11 @@
 // Parasitic sweep: the unpruned VGG11 swept over crossbar size ×
 // interconnect-resistance scale, reporting the accuracy and NF surface.
 // Useful for calibrating the simulator against published degradation
-// levels. A thin SweepSpec driver: the grid runs sharded and resumable,
+// levels. A thin SweepSpec driver: the grid runs in parallel and resumable,
 // and repeats aggregate to mean±std (results/parasitic_sweep.csv).
 //
 //   ./parasitic_sweep [--scales-pct=50,75,100] [--sizes=16,32,64]
-//                     [--shards=N] [--resume]
+//                     [--resume]
 #include "core/experiments.h"
 #include "sweep/runner.h"
 #include "util/csv.h"
@@ -31,7 +31,6 @@ int main(int argc, char** argv) {
     spec.repeats = ctx.eval_repeats();
 
     sweep::SweepOptions opts;
-    opts.shards = flags.get_int("shards", 0);
     opts.resume = flags.get_bool("resume", false);
     opts.csv_name = "parasitic_sweep.csv";
     opts.manifest_name = "parasitic_sweep_manifest.jsonl";

@@ -1,9 +1,9 @@
 // Generic declarative sweep driver: expand a SweepSpec from CLI flags
-// and/or a spec file, execute it sharded and resumable, and print the
+// and/or a spec file, execute it in parallel and resumable, and print the
 // paper-style accuracy-vs-crossbar-size table.
 //
 //   ./sweep_runner --variants=vgg11 --prune=none,cf:0.8 --sizes=16,32,64
-//       --mitigations=none,rearrange --sweep-repeats=3 --shards=4
+//       --mitigations=none,rearrange --sweep-repeats=3
 //   ./sweep_runner --spec=grid.sweep --resume
 //   ./sweep_runner --spec=grid.sweep --dry-run
 //   ./sweep_runner --backends=circuit,fast --cell-budget-ms=60000
@@ -12,7 +12,7 @@
 // --dry-run prints the expanded grid (cell count, axis values, distinct
 // models to prepare) and exits without training or executing anything.
 //
-// --workers=N switches from in-process shards to crash-isolated process
+// --workers=N switches from the in-process pool to crash-isolated process
 // supervision (DESIGN.md §9): N forked copies of this binary execute the
 // cells, dead or hung workers are respawned and their cells re-dealt
 // (--cell-budget-ms is the per-cell watchdog deadline), failing cells are
@@ -104,7 +104,6 @@ int main(int argc, char** argv) {
     }
 
     sweep::SweepOptions opts;
-    opts.shards = flags.get_int("shards", 0);
     opts.resume = flags.get_bool("resume", false);
     opts.max_cells = flags.get_int("max-cells", -1);
     opts.csv_name = flags.get_string("csv", "sweep.csv");

@@ -13,7 +13,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <future>
 
 namespace xs::core {
 
@@ -344,9 +343,8 @@ std::vector<EvalResult> evaluate_repeats_on_crossbars(
 
     // Repeats ride in groups of half the solver's lane budget, so the
     // parasitic stage fuses each group's pos+neg solves into one full-width
-    // batched solve (2·kGroupLanes = kMaxSolveLanes). Groups also form the
-    // producer/consumer pipeline below: while group g's batched forward runs
-    // on this thread, group g+1 degrades and compiles on a producer thread.
+    // batched solve (2·kGroupLanes = kMaxSolveLanes), and each group rides
+    // one batched forward pass.
     const std::size_t kGroupLanes =
         static_cast<std::size_t>(xbar::kMaxSolveLanes) / 2;
     const std::size_t n_groups = (R + kGroupLanes - 1) / kGroupLanes;
@@ -358,12 +356,12 @@ std::vector<EvalResult> evaluate_repeats_on_crossbars(
     std::vector<util::Rng> layer_rngs(kGroupLanes);
 
     // Degrade + fold + pack repeats [g·kGroupLanes, …) into their compiled
-    // instances. Groups run strictly one at a time (the pipeline below
-    // serializes them), so all the scratch above is shared; only the
-    // instances and stats slots written are group-disjoint. Recorded under
-    // the sweep phase namespace: per-cell phase metrics then split into
-    // prepare / compile / eval without the sweep layer having to reach
-    // inside the evaluator (this is a no-op label outside sweeps).
+    // instances. Groups run strictly one at a time on this thread, so all
+    // the scratch above is shared; only the instances and stats slots
+    // written are group-disjoint. Recorded under the sweep phase namespace:
+    // per-cell phase metrics then split into prepare / compile / eval
+    // without the sweep layer having to reach inside the evaluator (this is
+    // a no-op label outside sweeps).
     const auto compile_group = [&](std::size_t g) {
         XS_TIMER_NS("sweep.phase.compile.ns");
         XS_TRACE_SPAN("compile_instances");
@@ -396,8 +394,7 @@ std::vector<EvalResult> evaluate_repeats_on_crossbars(
     const std::int64_t total = test.size();
 
     // Run group g's repeats through one batched forward pass per dataset
-    // slice. Reads only inst_ptrs[lane0 …] and the engine's thread-local
-    // scratch, so it is safe against the producer compiling group g+1.
+    // slice.
     const auto infer_group = [&](std::size_t g) {
         XS_TIMER_NS("core.infer_repeat.ns");
         XS_TRACE_SPAN("infer_repeat");
@@ -424,27 +421,10 @@ std::vector<EvalResult> evaluate_repeats_on_crossbars(
         }
     };
 
-    // Producer/consumer pipeline over groups (DESIGN.md §12): while this
-    // thread consumes group g (the batched forward), a producer thread
-    // degrades and compiles group g+1. Inside an enclosing pool parallel
-    // region (e.g. one cell of a sharded sweep) the producer's top-level
-    // dispatch would deadlock against the region, so groups then compile
-    // synchronously on this thread; results are identical either way (same
-    // buffers, same per-repeat streams).
-    const bool overlap = !util::in_parallel_region();
-    std::future<void> producer;
-    if (overlap)
-        producer =
-            std::async(std::launch::async, compile_group, std::size_t{0});
+    // Compile then infer one group at a time; the tile loop and the
+    // forward pass each spread their own work over the pool.
     for (std::size_t g = 0; g < n_groups; ++g) {
-        if (overlap)
-            producer.get();  // group g's instances are ready (rethrows)
-        else
-            compile_group(g);
-        // Kick off group g+1 before consuming group g; the group scratch was
-        // last touched by group g's compile, which just finished.
-        if (overlap && g + 1 < n_groups)
-            producer = std::async(std::launch::async, compile_group, g + 1);
+        compile_group(g);
         infer_group(g);
     }
 

@@ -116,13 +116,14 @@ EvalResult evaluate_on_crossbars(nn::Sequential& model, const nn::Dataset& test,
 // stochastic stages (variation, faults, circuit solve) run as one lane of a
 // batched degrade, and its W′ compiles into a packed engine instance
 // (nn/infer.h). Repeats ride in groups of four: circuit solves batch across
-// a group's lanes, inference runs the group as lanes of one
-// forward_batched pass, and group g+1 compiles on a producer thread while
-// group g runs inference. Repeat r equals degrade_model_matrices at
-// seeds[r] → InferenceEngine::refresh → nn::evaluate, bit for bit
-// (tests/core_repeat_batch_test.cpp). Sweeps call this
-// directly with one grid point's per-cell seeds, so every repeat still
-// produces its own CellResult.
+// a group's lanes, and inference runs the group as lanes of one
+// forward_batched pass. Groups compile and infer one after another on the
+// calling thread; only the pool (util/parallel.h) spreads work over
+// threads. Repeat r equals degrade_model_matrices at seeds[r] →
+// InferenceEngine::refresh → nn::evaluate, bit for bit
+// (tests/core_repeat_batch_test.cpp). Sweeps call this directly with one
+// grid point's per-cell seeds, so every repeat still produces its own
+// CellResult.
 std::vector<EvalResult> evaluate_repeats_on_crossbars(
     nn::Sequential& model, const nn::Dataset& test, const EvalConfig& config,
     const std::vector<std::uint64_t>& seeds);

@@ -48,7 +48,7 @@ public:
     SweepSummary& summary() { return summary_; }
 
     // Train (or load) every distinct model the pending cells use before
-    // any executes, so no shard or worker trains a shared model twice.
+    // any executes, so no pool part or worker trains a shared model twice.
     // Restarts the progress clock, so the rate excludes training.
     void prepare_models();
 

@@ -3,6 +3,7 @@
 #include "util/faultinject.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -27,8 +28,8 @@ void append_field(std::string& out, const char* key, double v) {
     append_number(out, v);
 }
 
-// Reason strings carry exception text — escape the characters that would
-// break the one-line flat-JSON format.
+// String fields (reasons carry exception text): escape the characters that
+// would break the one-line flat-JSON format.
 void append_escaped(std::string& out, const std::string& text) {
     for (const char c : text) {
         if (c == '"' || c == '\\') {
@@ -40,6 +41,15 @@ void append_escaped(std::string& out, const std::string& text) {
             out += c;
         }
     }
+}
+
+void append_string_field(std::string& out, const char* key,
+                         const std::string& text) {
+    out += ",\"";
+    out += key;
+    out += "\":\"";
+    append_escaped(out, text);
+    out += '"';
 }
 
 std::string unescape(const std::string& text) {
@@ -67,9 +77,24 @@ bool find_number(const std::string& line, const char* key, double& out) {
     return true;
 }
 
+// Scan for `"key":` followed by a count. The encoder writes int64 fields as
+// doubles; returns false when the key is absent, and `ok` reports whether
+// the value is a whole number in [min, 2^53] — anything else is corruption
+// (and converting it to an integer could overflow).
+bool find_count(const std::string& line, const char* key, std::int64_t min,
+                std::int64_t& out, bool& ok) {
+    double v = 0.0;
+    if (!find_number(line, key, v)) return false;
+    ok = v >= static_cast<double>(min) && v <= 9007199254740992.0 &&
+         v == std::floor(v);
+    if (ok) out = static_cast<std::int64_t>(v);
+    return true;
+}
+
 // Find `"key":"<value>"` honouring backslash escapes in the value. Returns
 // false when the key is absent; `ok` reports whether the value terminated
-// properly (an unterminated string means a torn line).
+// properly (an unterminated string means a torn line) and holds no line
+// break, which the encoder never writes.
 bool find_string(const std::string& line, const char* key, std::string& out,
                  bool& ok) {
     const std::string needle = "\"" + std::string(key) + "\":\"";
@@ -86,25 +111,28 @@ bool find_string(const std::string& line, const char* key, std::string& out,
         ++end;
     }
     ok = end < line.size();
-    if (ok) out = unescape(line.substr(start, end - start));
+    if (!ok) return true;
+    std::string value = unescape(line.substr(start, end - start));
+    ok = value.find_first_of("\n\r") == std::string::npos;
+    if (ok) out = std::move(value);
     return true;
 }
 
 }  // namespace
 
 std::string encode_manifest_line(const std::string& cell_id, const CellResult& r) {
-    std::string out = "{\"cell\":\"" + cell_id + "\"";
+    std::string out = "{\"cell\":\"";
+    append_escaped(out, cell_id);
+    out += '"';
     if (r.failed()) {
-        out += ",\"status\":\"";
-        append_escaped(out, r.status);
-        out += "\",\"reason\":\"";
-        append_escaped(out, r.reason);
-        out += "\",\"backend\":\"" + r.backend + "\"";
+        append_string_field(out, "status", r.status);
+        append_string_field(out, "reason", r.reason);
+        append_string_field(out, "backend", r.backend);
         append_field(out, "attempts", static_cast<double>(r.attempts));
         out += "}";
         return out;
     }
-    out += ",\"backend\":\"" + r.backend + "\"";
+    append_string_field(out, "backend", r.backend);
     append_field(out, "accuracy", r.accuracy);
     append_field(out, "nf_mean", r.nf_mean);
     append_field(out, "energy_pj", r.energy_pj);
@@ -130,7 +158,7 @@ bool decode_manifest_line(const std::string& line, std::string& cell_id,
         return false;
 
     CellResult parsed;
-    bool str_ok = false;
+    bool str_ok = false, num_ok = false;
     std::string id;
     if (!find_string(line, "cell", id, str_ok) || !str_ok) return false;
 
@@ -139,9 +167,8 @@ bool decode_manifest_line(const std::string& line, std::string& cell_id,
         if (!str_ok) return false;
         parsed.status = status;
     }
-    double attempts = 1.0;
-    if (find_number(line, "attempts", attempts))
-        parsed.attempts = static_cast<std::int64_t>(attempts);
+    if (find_count(line, "attempts", 1, parsed.attempts, num_ok) && !num_ok)
+        return false;
     if (find_string(line, "backend", parsed.backend, str_ok) && !str_ok)
         return false;
 
@@ -154,19 +181,20 @@ bool decode_manifest_line(const std::string& line, std::string& cell_id,
         return true;
     }
 
-    double tiles = 0.0, failures = 0.0;
     if (!find_number(line, "accuracy", parsed.accuracy)) return false;
     if (!find_number(line, "nf_mean", parsed.nf_mean)) return false;
     if (!find_number(line, "energy_pj", parsed.energy_pj)) return false;
     if (!find_number(line, "software_acc", parsed.software_acc)) return false;
-    if (!find_number(line, "tiles", tiles)) return false;
+    if (!find_count(line, "tiles", 0, parsed.tiles, num_ok) || !num_ok)
+        return false;
     // Renamed in PR 6; legacy manifests spell it "unconverged", and ones
     // predating the field decode to 0 solver failures.
-    if (!find_number(line, "solver_failures", failures))
-        find_number(line, "unconverged", failures);
+    if ((find_count(line, "solver_failures", 0, parsed.solver_failures,
+                    num_ok) ||
+         find_count(line, "unconverged", 0, parsed.solver_failures, num_ok)) &&
+        !num_ok)
+        return false;
     find_number(line, "wall_ms", parsed.wall_ms);  // informational; optional
-    parsed.tiles = static_cast<std::int64_t>(tiles);
-    parsed.solver_failures = static_cast<std::int64_t>(failures);
 
     cell_id = std::move(id);
     r = std::move(parsed);

@@ -80,9 +80,10 @@ ManifestLoad load_manifest_file(const std::string& path);
 std::map<std::string, CellResult> load_manifest(const std::string& path);
 std::string load_manifest_config(const std::string& path);
 
-// Serialized durable append writer shared by all sweep shards (and used by
-// the supervisor, where the append is the deal acknowledgement). Each
-// record is written, flushed, and fsync'd before record() returns.
+// Serialized durable append writer shared by the in-process runner's pool
+// parts (and used by the supervisor, where the append is the deal
+// acknowledgement). Each record is written, flushed, and fsync'd before
+// record() returns.
 class ManifestWriter {
 public:
     // append=false truncates (fresh sweep); append=true resumes.

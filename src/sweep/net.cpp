@@ -228,8 +228,7 @@ std::string encode_fail(std::int64_t cell_index, const std::string& reason) {
 bool decode_fail(const std::string& payload, std::int64_t& cell_index,
                  std::string& reason) {
     const auto space = payload.find(' ');
-    if (space == std::string::npos || space + 1 > payload.size())
-        return false;
+    if (space == std::string::npos || space == 0) return false;
     char* end = nullptr;
     const std::string idx = payload.substr(0, space);
     const long long v = std::strtoll(idx.c_str(), &end, 10);

@@ -36,7 +36,7 @@ std::vector<core::ModelSpec> distinct_model_specs(
 // The one sweep work unit: ≥1 cells of one grid point (they share every
 // axis except the repeat index), so one EvalConfig, built from the head
 // cell, serves them all; only the per-cell seeds differ. Safe to call
-// concurrently from shard chunks: the context's caches are locked, the
+// concurrently from pool parts: the context's caches are locked, the
 // shared model is only read, and all scratch is call-local. Also the body
 // of the supervisor's worker processes (sweep/supervisor.h), one cell at a
 // time.
@@ -242,8 +242,8 @@ SweepSummary SweepRunner::run() {
     SweepCoordinator coord(ctx_, spec_, opts_);
     const std::vector<SweepCell>& cells = coord.cells();
     const std::vector<std::size_t>& pending = coord.pending();
-    // Prepare every distinct model before sharding: training parallelizes
-    // across the whole pool here, no shard ever stalls on another shard's
+    // Prepare every distinct model before the deal: training parallelizes
+    // across the whole pool here, no part ever stalls on another part's
     // training, and a grid never retrains a shared model twice.
     coord.prepare_models();
 
@@ -270,19 +270,17 @@ SweepSummary SweepRunner::run() {
         p = q;
     }
 
-    // Shard phase: shard s owns work units s, s+shards, s+2·shards, … — an
-    // assignment that depends only on expansion order. Exceptions are
-    // collected per shard and rethrown after the dispatch (an exception
-    // escaping into the pool would terminate the process).
-    const std::size_t nshards =
-        opts_.shards > 0 ? static_cast<std::size_t>(opts_.shards)
-                         : util::worker_count();
-    std::vector<std::exception_ptr> errors(nshards);
+    // Deal phase: one part per pool worker; part p owns work units p, p+P,
+    // p+2·P, … — an assignment that depends only on expansion order.
+    // Exceptions are collected per part and rethrown after the dispatch (an
+    // exception escaping into the pool would terminate the process).
+    const std::size_t nparts = util::worker_count();
+    std::vector<std::exception_ptr> errors(nparts);
     util::parallel_for_workers(
-        0, nshards, [&](std::size_t, std::size_t lo, std::size_t hi) {
-            for (std::size_t s = lo; s < hi; ++s) {
+        0, nparts, [&](std::size_t, std::size_t lo, std::size_t hi) {
+            for (std::size_t p = lo; p < hi; ++p) {
                 try {
-                    for (std::size_t u = s; u < units.size(); u += nshards) {
+                    for (std::size_t u = p; u < units.size(); u += nparts) {
                         const Unit unit = units[u];
                         std::vector<const SweepCell*> group(unit.count);
                         for (std::size_t i = 0; i < unit.count; ++i)
@@ -294,7 +292,7 @@ SweepSummary SweepRunner::run() {
                         coord.maybe_progress();
                     }
                 } catch (...) {
-                    errors[s] = std::current_exception();
+                    errors[p] = std::current_exception();
                 }
             }
         });

@@ -1,13 +1,13 @@
-// Sharded, resumable execution of a SweepSpec grid (DESIGN.md §7).
+// In-process, resumable execution of a SweepSpec grid (DESIGN.md §7).
 //
-// Work units are dealt round-robin onto `shards` logical shards and the
-// shards run concurrently on the process-wide worker pool; every completed
+// Work units are dealt round-robin onto one part per pool worker and the
+// parts run concurrently on the process-wide worker pool; every completed
 // cell is appended to a JSONL manifest (sweep/manifest.h) so an interrupted
 // sweep resumes with --resume, skipping finished cells. Every unit runs
 // through one function, run_sweep_group, on one grid point's contiguous
 // pending repeats. Per-cell RNG seeds derive from the cell's stable group
-// id — never from shard, grouping, or completion order — and every circuit
-// solve cold-starts, so the aggregate CSV is byte-identical at any shard
+// id — never from worker, grouping, or completion order — and every circuit
+// solve cold-starts, so the aggregate CSV is byte-identical at any worker
 // count, however cells are grouped, with or without interruption.
 //
 // The same grid also runs in forked worker processes (sweep/supervisor.h)
@@ -31,9 +31,6 @@
 namespace xs::sweep {
 
 struct SweepOptions {
-    // Logical shards; 0 = one per pool worker. Cell→shard assignment is
-    // index % shards, fixed by expansion order.
-    std::int64_t shards = 0;
     // Skip cells already recorded in the manifest (fresh runs truncate it).
     bool resume = false;
     std::string csv_name = "sweep.csv";
@@ -164,7 +161,7 @@ class SweepRunner {
 public:
     SweepRunner(core::ExperimentContext& ctx, SweepSpec spec, SweepOptions opts);
 
-    // Prepare shared models (each once), execute pending cells sharded,
+    // Prepare shared models (each once), execute pending cells on the pool,
     // append the manifest, and write the aggregate CSV (complete groups
     // only, expansion order).
     SweepSummary run();

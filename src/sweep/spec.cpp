@@ -228,10 +228,13 @@ std::map<std::string, std::string> read_spec_file(const std::string& path) {
 SweepSpec parse_sweep_spec(const util::Flags& flags) {
     std::map<std::string, std::string> file;
     if (flags.has("spec")) file = read_spec_file(flags.get_string("spec", ""));
-    // util::Flags ignores unknown flags, so name the one a removed axis left.
+    // util::Flags ignores unknown flags, so name the ones removed knobs left.
     tensor::check(!flags.has("warm-start"),
                   "sweep: warm-start was removed; circuit solves always "
                   "cold-start");
+    tensor::check(!flags.has("shards"),
+                  "sweep: shards was removed; the in-process runner uses "
+                  "every pool worker");
     // A misspelled axis key would otherwise silently run the default grid —
     // the worst failure mode for a reproducibility tool.
     static const std::set<std::string> known = {

@@ -3,7 +3,7 @@
 // method/sparsity, mitigation (WCT / rearrangement), crossbar size, device
 // sigma, parasitic scale, stuck-fault rates, and the Monte-Carlo repeat —
 // and expand() emits the full cartesian product as SweepCells. The runner
-// (sweep/runner.h) executes cells sharded and resumable; cells that differ
+// (sweep/runner.h) executes cells on the pool, resumably; cells that differ
 // only in `repeat` aggregate into one mean±std row of the output CSV.
 //
 // Specs parse from CLI flags, optionally overlaid on a `key = value` spec

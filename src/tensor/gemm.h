@@ -38,16 +38,6 @@ struct PackedGemmA {
 void gemm_pack_a(std::int64_t m, std::int64_t k, const float* a,
                  std::int64_t lda, PackedGemmA& out);
 
-// C (m×n) = alpha·A·B + beta·C with A prepacked by gemm_pack_a: the
-// single-shot form over an explicit B (the engine's conv path uses
-// gemm_conv_tiles below).
-// Serial — safe inside pool workers. `a_raw`/`lda` must describe the matrix
-// that was packed (the sparse path reads it directly).
-void gemm_prepacked_serial(const PackedGemmA& pa, const float* a_raw,
-                           std::int64_t lda, std::int64_t n, float alpha,
-                           const float* b, std::int64_t ldb, float beta,
-                           float* c, std::int64_t ldc);
-
 // ---- implicit-GEMM conv tiles (the inference engine's conv path) ----
 //
 // B is the virtual (cin·k² × n·H·W) im2col matrix of a stride-1 conv with
@@ -103,12 +93,7 @@ void gemm_conv_tiles(const PackedGemmA& pa, const float* a_raw,
                      std::int64_t ldc, const float* bias, bool relu,
                      std::int64_t tile_lo, std::int64_t tile_hi);
 
-// Convenience wrappers on rank-2 tensors.
-Tensor matmul(const Tensor& a, const Tensor& b);            // A·B
-Tensor matmul_tn(const Tensor& a, const Tensor& b);         // Aᵀ·B
-Tensor matmul_nt(const Tensor& a, const Tensor& b);         // A·Bᵀ
-
-// y(m) = A(m×n) · x(n)
-void gemv(std::int64_t m, std::int64_t n, const float* a, const float* x, float* y);
+// Convenience wrapper on rank-2 tensors: A·B.
+Tensor matmul(const Tensor& a, const Tensor& b);
 
 }  // namespace xs::tensor

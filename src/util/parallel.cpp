@@ -51,8 +51,8 @@ public:
         // Single-part dispatches (1-worker pool, nested call, or a range of
         // one) run inline without touching pool state. In particular they
         // must not hold the dispatch mutex while running: a single-element
-        // top-level range whose body re-dispatches (e.g. a 1-shard sweep
-        // whose cells use the pool) would deadlock on its own lock.
+        // top-level range whose body re-dispatches (e.g. a one-unit sweep
+        // whose cell uses the pool) would deadlock on its own lock.
         const std::size_t parts = std::min(count_, total);
         if (parts == 1 || tl_in_parallel_region) {
             fn(ctx, 0, begin, end);
@@ -156,8 +156,6 @@ Pool& pool() {
 }  // namespace
 
 std::size_t worker_count() { return pool().count(); }
-
-bool in_parallel_region() { return tl_in_parallel_region; }
 
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& fn) {

@@ -121,8 +121,8 @@ EvalConfig cold_config(xbar::BackendKind backend) {
 TEST(RepeatBatch, ColdMatchesReferenceBitExactAcrossRepeatCounts) {
     nn::Sequential model = tiny_vgg(12);
     const nn::Dataset test = tiny_dataset(15);
-    // 1 = a single lane, 3 = one partial group, 8 = two full groups through
-    // the producer/consumer pipeline (groups of kMaxSolveLanes/2 repeats).
+    // 1 = a single lane, 3 = one partial group, 8 = two full groups
+    // (groups of kMaxSolveLanes/2 repeats) compiled and inferred in turn.
     for (const std::int64_t repeats : {1, 3, 8}) {
         EvalConfig config = cold_config(xbar::BackendKind::kCircuit);
         config.repeats = repeats;

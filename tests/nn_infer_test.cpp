@@ -3,8 +3,7 @@
 //  * the folded/fused path matches the reference layer-by-layer forward;
 //  * MAC-matrix overrides match inject_matrix semantics;
 //  * forward_batched logits match golden digests bit for bit;
-//  * evaluate_on_crossbars stays deterministic under the overlapped
-//    repeat pipeline.
+//  * evaluate_on_crossbars is deterministic across repeated calls.
 #include "core/evaluator.h"
 #include "map/matrix_view.h"
 #include "nn/batchnorm.h"
@@ -377,7 +376,7 @@ TEST(InferenceEngine, ForwardBatchedMatchesParentDigests) {
 #endif
 }
 
-TEST(InferenceEngine, OverlappedRepeatsAreDeterministic) {
+TEST(InferenceEngine, RepeatsAreDeterministic) {
     VggConfig vc;
     vc.width = 0.0625;
     util::Rng rng(6);

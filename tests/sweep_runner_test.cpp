@@ -1,7 +1,8 @@
 // End-to-end SweepRunner coverage on a deliberately tiny grid: manifest
 // resume after a mid-sweep interruption reproduces the uninterrupted
-// aggregate CSV byte for byte, the CSV is invariant to the shard count, and
-// the thread-safe ExperimentContext prepares each shared model exactly once.
+// aggregate CSV byte for byte, the CSV is invariant to how repeats are
+// grouped into work units, and the thread-safe ExperimentContext prepares
+// each shared model exactly once.
 #include "core/experiments.h"
 #include "sweep/runner.h"
 #include "util/parallel.h"
@@ -136,25 +137,6 @@ TEST(SweepRunner, InterruptedThenResumedCsvIsByteIdentical) {
     EXPECT_EQ(slurp(resumed.csv_path), full);
 }
 
-TEST(SweepRunner, AggregateCsvInvariantToShardCount) {
-    // Self-sufficient under --gtest_filter: (re)generate the baseline here.
-    SweepOptions baseline;
-    baseline.csv_name = "full.csv";
-    baseline.manifest_name = "full.jsonl";
-    run(baseline);
-    const std::string full = slurp(ctx().csv_path("full.csv"));
-    ASSERT_FALSE(full.empty());
-    for (const std::int64_t shards : {1, 3, 7}) {
-        SweepOptions opts;
-        opts.shards = shards;
-        opts.csv_name = "shards" + std::to_string(shards) + ".csv";
-        opts.manifest_name = "shards" + std::to_string(shards) + ".jsonl";
-        const SweepSummary summary = run(opts);
-        EXPECT_EQ(summary.cells_executed, 4);
-        EXPECT_EQ(slurp(summary.csv_path), full) << shards << " shards";
-    }
-}
-
 // Runs every cell of `spec` as its own one-cell unit — what supervisor and
 // service workers do — and writes their aggregate CSV as `csv_name`.
 std::map<std::string, CellResult> run_one_cell_units(
@@ -177,8 +159,8 @@ TEST(SweepRunner, AggregateCsvInvariantToRepeatBatching) {
     // solves make every batched lane bit-identical to its one-cell unit.
     // The per-cell results must agree too, field by field, bit for bit
     // (everything except the wall-clock timing). Repeat counts: 1 runs a
-    // single lane, 3 a partial group, 8 two full groups through the
-    // evaluator's producer/consumer pipeline.
+    // single lane, 3 a partial group, 8 two full groups compiled and
+    // inferred one after the other.
     for (const std::int64_t repeats : {1, 3, 8}) {
         SCOPED_TRACE("repeats=" + std::to_string(repeats));
         const std::string tag = "rb" + std::to_string(repeats);

@@ -108,9 +108,10 @@ TEST(SweepSpec, SpecFileParsesAndCliWins) {
     std::filesystem::remove(path);
 }
 
-// The removed solve-start knob must fail loudly in both places it could
-// still be spelled, rather than run a grid the user did not ask for.
-TEST(SweepSpec, RemovedWarmStartKnobIsRejected) {
+// The removed solve-start and shard-count knobs must fail loudly wherever
+// they could still be spelled, rather than run a sweep the user did not ask
+// for.
+TEST(SweepSpec, RemovedWarmStartAndShardsKnobsAreRejected) {
     const auto error_of = [](const util::Flags& flags) -> std::string {
         try {
             parse_sweep_spec(flags);
@@ -122,6 +123,10 @@ TEST(SweepSpec, RemovedWarmStartKnobIsRejected) {
     EXPECT_NE(error_of(make_flags({"--warm-start=true"}))
                   .find("warm-start was removed; circuit solves always "
                         "cold-start"),
+              std::string::npos);
+    EXPECT_NE(error_of(make_flags({"--shards=4"}))
+                  .find("shards was removed; the in-process runner uses "
+                        "every pool worker"),
               std::string::npos);
 
     const std::string path =
