@@ -109,15 +109,18 @@ struct LayerPlan {
     MatrixPlan plan;
 };
 
+// Layers are dealt over the pool (util::parallel_deal): each plan is
+// independent, and each is built by one worker in full.
 std::vector<LayerPlan> build_layer_plans(nn::Sequential& model,
                                          const EvalConfig& config) {
-    std::vector<LayerPlan> plans;
-    for (nn::Layer* layer : map::mappable_layers(model)) {
-        LayerPlan lp;
-        lp.layer = layer;
-        lp.matrix = map::extract_matrix(*layer);
+    const std::vector<nn::Layer*> layers = map::mappable_layers(model);
+    std::vector<LayerPlan> plans(layers.size());
+    util::parallel_deal(layers.size(), [&](std::size_t, std::size_t li) {
+        LayerPlan& lp = plans[li];
+        lp.layer = layers[li];
+        lp.matrix = map::extract_matrix(*lp.layer);
 
-        const auto it = config.w_ref.find(layer->name());
+        const auto it = config.w_ref.find(lp.layer->name());
         if (it != config.w_ref.end()) {
             lp.w_ref = it->second;
         } else {
@@ -127,8 +130,7 @@ std::vector<LayerPlan> build_layer_plans(nn::Sequential& model,
         if (lp.w_ref <= 0.0) lp.w_ref = 1.0;  // degenerate all-zero layer
 
         lp.plan = build_matrix_plan(lp.matrix, config);
-        plans.push_back(std::move(lp));
-    }
+    });
     return plans;
 }
 
@@ -179,12 +181,14 @@ void finalize_nf(EvalResult& result) {
 }
 
 // ---- the tile loop (DESIGN.md §12) ----
-// One lane per Monte-Carlo repeat; a single degrade is one lane. Each tile's
-// deterministic prep (extract, differential split into lane 0) runs once and
-// is copied to the other lanes, the stochastic stages run per lane with
-// private RNG streams, and the parasitic stage solves the lanes' circuits
-// together (xbar/solver.h). Lane scratch persists across tiles and layers,
-// so the steady state allocates nothing.
+// One lane per Monte-Carlo repeat; a single degrade is one lane. The tiles of
+// every layer in a call form one list, dealt to the pool one tile at a time
+// (util::parallel_deal), so a layer with fewer tiles than workers does not
+// leave workers idle. Each tile's deterministic prep (extract, differential
+// split into lane 0) runs once and is copied to the other lanes, the
+// stochastic stages run per lane with private RNG streams, and the parasitic
+// stage solves the lanes' circuits together (xbar/solver.h). Lane scratch
+// persists across tiles and layers, so the steady state allocates nothing.
 struct BatchLane {
     Tensor g_pos, g_neg, tile_w;
     xbar::TileStageContext ctx;
@@ -199,10 +203,21 @@ struct BatchWorker {
     xbar::DegradeWorkspace ws;
 };
 
-// Everything the tile loop reuses across layers and repeat groups: the stage
-// list (built once, so the fast backend's calibration cache amortizes over
-// the whole run), one BatchWorker per pool slot, and the per-(lane, tile)
-// RNG / result slots.
+// One layer's share of a tile deal: its mapping state, and per lane its RNG
+// stream, its stats and (unless the caller only needs NF) its W′.
+struct LayerJob {
+    const MatrixPlan* plan = nullptr;
+    const Tensor* matrix = nullptr;
+    double w_ref = 0.0;
+    const util::Rng* rngs = nullptr;  // [lane]
+    DegradeStats* stats = nullptr;    // [lane]
+    Tensor* out = nullptr;            // [lane] mapping-layout W′; null = NF only
+};
+
+// Everything the tile loop reuses across calls: the stage list (built once,
+// so the fast backend's calibration cache amortizes over the whole run), one
+// BatchWorker per pool slot, and the per-(tile, lane) RNG / result slots of
+// the current deal.
 struct TileLoop {
     TileLoop(const EvalConfig& config, std::size_t max_lanes)
         : config(config),
@@ -217,82 +232,121 @@ struct TileLoop {
     const EvalConfig& config;
     const xbar::TilePipeline pipeline;
     std::vector<BatchWorker> workers;
-    std::vector<util::Rng> tile_rngs;  // lane-major: [rl·T + t]
+    // The current deal: its jobs, lane count, and first[j] = job j's first
+    // index in the deal's tile list (first.back() = the total).
+    const LayerJob* jobs = nullptr;
+    std::size_t nl = 0;
+    std::vector<std::size_t> first;
+    std::vector<util::Rng> tile_rngs;  // tile-major: [g·nl + rl]
     std::vector<double> tile_nf;
     std::vector<std::uint8_t> tile_ok;
 };
 
-// Degrade one MAC matrix's mapping target for `nl` repeat lanes
-// (tile→G→G′→W′; plan.unmap() then applies R⁻¹ and T⁻¹). Lane rl draws
-// tile t's stochastic stages from layer_rngs[rl].split(t + 1) —
-// deterministic regardless of the chunk partition — accumulates into
-// stats[rl] and writes its W′ to out[rl].
-void degrade_lanes(TileLoop& loop, const MatrixPlan& plan, const Tensor& matrix,
-                   double w_ref, util::Rng* layer_rngs, std::size_t nl,
-                   DegradeStats* stats, Tensor* out) {
-    const EvalConfig& config = loop.config;
-    const std::int64_t n = config.xbar.size;
-    const auto& tiles = plan.tiling.tiles;
-    const Tensor& source = plan.mapping_target(matrix);
-    const xbar::ConductanceMapper mapper(config.xbar.device, w_ref);
-    const std::size_t T = tiles.size();
+// Degrade tile g of the current deal in every lane, on pool slot `w`.
+void degrade_tile(void* ctx, std::size_t w, std::size_t g) {
+    TileLoop& loop = *static_cast<TileLoop*>(ctx);
+    const std::size_t j = static_cast<std::size_t>(
+        std::upper_bound(loop.first.begin() + 1, loop.first.end(), g) -
+        (loop.first.begin() + 1));
+    const LayerJob& job = loop.jobs[j];
+    const map::Tile& tile = job.plan->tiling.tiles[g - loop.first[j]];
+    const std::int64_t n = loop.config.xbar.size;
+    const std::size_t nl = loop.nl;
+    const xbar::ConductanceMapper mapper(loop.config.xbar.device, job.w_ref);
+    BatchWorker& bw = loop.workers[w];
+
+    map::extract_tile_into(job.plan->mapping_target(*job.matrix), tile, n,
+                           bw.sub);
+    BatchLane& first = bw.lanes[0];
+    mapper.to_differential(bw.sub, first.g_pos, first.g_neg);
+    const std::size_t bytes = static_cast<std::size_t>(n * n) * sizeof(float);
+    for (std::size_t rl = 1; rl < nl; ++rl) {
+        BatchLane& lane = bw.lanes[rl];
+        lane.g_pos.reset(n, n);
+        lane.g_neg.reset(n, n);
+        std::memcpy(lane.g_pos.data(), first.g_pos.data(), bytes);
+        std::memcpy(lane.g_neg.data(), first.g_neg.data(), bytes);
+    }
+    for (std::size_t rl = 0; rl < nl; ++rl) {
+        BatchLane& lane = bw.lanes[rl];
+        lane.ctx.begin_tile(lane.g_pos, lane.g_neg, loop.tile_rngs[g * nl + rl]);
+    }
+    loop.pipeline.run_batch(bw.ctx_ptrs.data(), static_cast<int>(nl), bw.ws);
+    for (std::size_t rl = 0; rl < nl; ++rl) {
+        BatchLane& lane = bw.lanes[rl];
+        loop.tile_nf[g * nl + rl] = lane.ctx.nf;
+        loop.tile_ok[g * nl + rl] = lane.ctx.converged;
+        if (!job.out) continue;
+        mapper.from_differential_into(*lane.ctx.pos, *lane.ctx.neg, lane.tile_w);
+        // Tiles partition the matrix: write-disjoint.
+        map::scatter_tile(job.out[rl], tile, lane.tile_w);
+    }
+}
+
+// Degrade the mapping targets of `njobs` layers for `nl` repeat lanes in one
+// tile deal (tile→G→G′→W′; plan.unmap() then applies R⁻¹ and T⁻¹). Lane rl
+// of job j draws tile t's stochastic stages from jobs[j].rngs[rl].split(t + 1)
+// — independent of which worker runs the tile — and each job's stats fold
+// its tiles in tile order, so results do not depend on the deal.
+void degrade_layers(TileLoop& loop, const LayerJob* jobs, std::size_t njobs,
+                    std::size_t nl) {
+    loop.jobs = jobs;
+    loop.nl = nl;
+    loop.first.assign(1, 0);
+    for (std::size_t j = 0; j < njobs; ++j)
+        loop.first.push_back(loop.first.back() + jobs[j].plan->tiling.tiles.size());
+    const std::size_t total = loop.first.back();
 
     loop.tile_rngs.clear();
-    loop.tile_rngs.reserve(nl * T);
-    for (std::size_t rl = 0; rl < nl; ++rl)
-        for (std::size_t t = 0; t < T; ++t)
-            loop.tile_rngs.push_back(
-                layer_rngs[rl].split(static_cast<std::uint64_t>(t) + 1));
-    loop.tile_nf.assign(nl * T, 0.0);
-    loop.tile_ok.assign(nl * T, 1);
+    loop.tile_rngs.reserve(total * nl);
+    for (std::size_t j = 0; j < njobs; ++j)
+        for (std::size_t t = 0; t < loop.first[j + 1] - loop.first[j]; ++t)
+            for (std::size_t rl = 0; rl < nl; ++rl)
+                loop.tile_rngs.push_back(
+                    jobs[j].rngs[rl].split(static_cast<std::uint64_t>(t) + 1));
+    loop.tile_nf.assign(total * nl, 0.0);
+    loop.tile_ok.assign(total * nl, 1);
     // Scatter targets: tiles cover disjoint entries.
-    for (std::size_t rl = 0; rl < nl; ++rl) out[rl] = source;
+    for (std::size_t j = 0; j < njobs; ++j)
+        if (jobs[j].out)
+            for (std::size_t rl = 0; rl < nl; ++rl)
+                jobs[j].out[rl] = jobs[j].plan->mapping_target(*jobs[j].matrix);
 
-    util::parallel_for_workers(
-        0, T, [&](std::size_t w, std::size_t lo, std::size_t hi) {
-            BatchWorker& bw = loop.workers[w];
-            for (std::size_t t = lo; t < hi; ++t) {
-                const map::Tile& tile = tiles[t];
-                map::extract_tile_into(source, tile, n, bw.sub);
-                BatchLane& first = bw.lanes[0];
-                mapper.to_differential(bw.sub, first.g_pos, first.g_neg);
-                const std::size_t bytes =
-                    static_cast<std::size_t>(n * n) * sizeof(float);
-                for (std::size_t rl = 1; rl < nl; ++rl) {
-                    BatchLane& lane = bw.lanes[rl];
-                    lane.g_pos.reset(n, n);
-                    lane.g_neg.reset(n, n);
-                    std::memcpy(lane.g_pos.data(), first.g_pos.data(), bytes);
-                    std::memcpy(lane.g_neg.data(), first.g_neg.data(), bytes);
-                }
-                for (std::size_t rl = 0; rl < nl; ++rl) {
-                    BatchLane& lane = bw.lanes[rl];
-                    lane.ctx.begin_tile(lane.g_pos, lane.g_neg,
-                                        loop.tile_rngs[rl * T + t]);
-                }
-                loop.pipeline.run_batch(bw.ctx_ptrs.data(),
-                                        static_cast<int>(nl), bw.ws);
-                for (std::size_t rl = 0; rl < nl; ++rl) {
-                    BatchLane& lane = bw.lanes[rl];
-                    loop.tile_nf[rl * T + t] = lane.ctx.nf;
-                    loop.tile_ok[rl * T + t] = lane.ctx.converged;
-                    mapper.from_differential_into(*lane.ctx.pos,
-                                                  *lane.ctx.neg, lane.tile_w);
-                    // Tiles partition the matrix: write-disjoint.
-                    map::scatter_tile(out[rl], tile, lane.tile_w);
-                }
+    util::parallel_deal(total, &degrade_tile, &loop);
+
+    for (std::size_t j = 0; j < njobs; ++j) {
+        for (std::size_t rl = 0; rl < nl; ++rl) {
+            DegradeStats& ds = jobs[j].stats[rl];
+            for (std::size_t g = loop.first[j]; g < loop.first[j + 1]; ++g) {
+                ds.nf_sum += loop.tile_nf[g * nl + rl];
+                ++ds.nf_tiles;
+                if (!loop.tile_ok[g * nl + rl]) ++ds.unconverged;
             }
-        });
-
-    for (std::size_t rl = 0; rl < nl; ++rl) {
-        DegradeStats& ds = stats[rl];
-        for (std::size_t t = 0; t < T; ++t) {
-            ds.nf_sum += loop.tile_nf[rl * T + t];
-            ++ds.nf_tiles;
-            if (!loop.tile_ok[rl * T + t]) ++ds.unconverged;
+            ds.tiles += jobs[j].plan->tiling.count();
         }
-        ds.tiles += plan.tiling.count();
     }
+}
+
+// Degrade every layer of `plans` at config.seed in one tile deal, layer li
+// drawing from Rng(config.seed).split(li + 1). Writes layer li's
+// mapping-layout W′ to out[li] unless `out` is null (NF only).
+std::vector<DegradeStats> degrade_all_layers(const std::vector<LayerPlan>& plans,
+                                             const EvalConfig& config,
+                                             Tensor* out) {
+    const util::Rng rng(config.seed);
+    std::vector<util::Rng> layer_rngs;
+    std::vector<DegradeStats> stats(plans.size());
+    std::vector<LayerJob> jobs(plans.size());
+    layer_rngs.reserve(plans.size());
+    for (std::size_t li = 0; li < plans.size(); ++li) {
+        layer_rngs.push_back(rng.split(static_cast<std::uint64_t>(li) + 1));
+        jobs[li] = LayerJob{&plans[li].plan, &plans[li].matrix, plans[li].w_ref,
+                            &layer_rngs[li], &stats[li],
+                            out ? &out[li] : nullptr};
+    }
+    TileLoop loop(config, 1);
+    degrade_layers(loop, jobs.data(), jobs.size(), 1);
+    return stats;
 }
 
 }  // namespace
@@ -303,7 +357,8 @@ Tensor degrade_mac_matrix(const Tensor& matrix, const EvalConfig& config,
     const MatrixPlan plan = build_matrix_plan(matrix, config);
     TileLoop loop(config, 1);
     Tensor degraded;
-    degrade_lanes(loop, plan, matrix, w_ref, &rng, 1, &stats, &degraded);
+    const LayerJob job{&plan, &matrix, w_ref, &rng, &stats, &degraded};
+    degrade_layers(loop, &job, 1, 1);
     return plan.unmap(std::move(degraded));
 }
 
@@ -312,20 +367,15 @@ std::map<std::string, Tensor> degrade_model_matrices(
     std::vector<LayerEvalStats>* layer_stats) {
     XS_TIMER_NS("core.degrade_repeat.ns");
     XS_TRACE_SPAN("degrade_repeat");
-    std::map<std::string, Tensor> result;
     const std::vector<LayerPlan> plans = build_layer_plans(model, config);
-    TileLoop loop(config, 1);
-    util::Rng rng(config.seed);
-    std::uint64_t layer_tag = 1;
-
-    for (const LayerPlan& lp : plans) {
-        util::Rng layer_rng = rng.split(layer_tag++);
-        DegradeStats stats;
-        Tensor degraded;
-        degrade_lanes(loop, lp.plan, lp.matrix, lp.w_ref, &layer_rng, 1,
-                      &stats, &degraded);
-        if (layer_stats) layer_stats->push_back(layer_stats_of(lp, stats));
-        result.emplace(lp.layer->name(), lp.plan.unmap(std::move(degraded)));
+    std::vector<Tensor> degraded(plans.size());
+    const std::vector<DegradeStats> stats =
+        degrade_all_layers(plans, config, degraded.data());
+    std::map<std::string, Tensor> result;
+    for (std::size_t li = 0; li < plans.size(); ++li) {
+        const LayerPlan& lp = plans[li];
+        if (layer_stats) layer_stats->push_back(layer_stats_of(lp, stats[li]));
+        result.emplace(lp.layer->name(), lp.plan.unmap(std::move(degraded[li])));
     }
     return result;
 }
@@ -375,10 +425,12 @@ std::vector<EvalResult> evaluate_repeats_on_crossbars(
             for (std::size_t rl = 0; rl < nl; ++rl)
                 layer_rngs[rl] = util::Rng(seeds[lane0 + rl])
                                      .split(static_cast<std::uint64_t>(li) + 1);
+            // One layer per deal, so only one layer's lane W′s are live.
             std::vector<Tensor> lane_work(nl);  // per-lane W′
-            degrade_lanes(loop, lp.plan, lp.matrix, lp.w_ref,
-                          layer_rngs.data(), nl, &stats[li][lane0],
-                          lane_work.data());
+            const LayerJob job{&lp.plan, &lp.matrix, lp.w_ref,
+                               layer_rngs.data(), &stats[li][lane0],
+                               lane_work.data()};
+            degrade_layers(loop, &job, 1, nl);
             // Unmap and fold straight into the packed instances one lane at
             // a time, so one full-size W′ is live at once.
             for (std::size_t rl = 0; rl < nl; ++rl) {
@@ -465,8 +517,13 @@ EvalResult evaluate_on_crossbars(nn::Sequential& model, const nn::Dataset& test,
 EvalResult measure_nf(nn::Sequential& model, const EvalConfig& config) {
     XS_TIMER_NS("core.measure_nf.ns");
     XS_TRACE_SPAN("measure_nf");
+    // Every layer's tiles in one deal, and no W′: NF is all it reports.
+    const std::vector<LayerPlan> plans = build_layer_plans(model, config);
+    const std::vector<DegradeStats> stats =
+        degrade_all_layers(plans, config, nullptr);
     EvalResult result;
-    degrade_model_matrices(model, config, &result.layers);
+    for (std::size_t li = 0; li < plans.size(); ++li)
+        result.layers.push_back(layer_stats_of(plans[li], stats[li]));
     finalize_nf(result);
     return result;
 }

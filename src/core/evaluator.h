@@ -128,7 +128,9 @@ std::vector<EvalResult> evaluate_repeats_on_crossbars(
     nn::Sequential& model, const nn::Dataset& test, const EvalConfig& config,
     const std::vector<std::uint64_t>& seeds);
 
-// NF measurement only (paper Fig. 3(d)) — no inference pass.
+// NF measurement only (paper Fig. 3(d)) — no inference pass and no W′:
+// the tiles of every layer are dealt over the pool in one deal. Per-layer
+// NF is bit-identical to degrade_model_matrices' at the same config.
 EvalResult measure_nf(nn::Sequential& model, const EvalConfig& config);
 
 }  // namespace xs::core

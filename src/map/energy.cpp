@@ -4,6 +4,7 @@
 #include "map/matrix_view.h"
 #include "map/tiling.h"
 #include "tensor/ops.h"
+#include "util/parallel.h"
 #include "xbar/mapper.h"
 
 #include <cmath>
@@ -30,13 +31,18 @@ Tiling tiling_for(const Tensor& work, prune::Method method, std::int64_t size) {
 EnergyReport estimate_energy(nn::Sequential& model, prune::Method method,
                              const xbar::CrossbarConfig& xbar,
                              const EnergyConfig& config) {
-    EnergyReport report;
     const double g_min = xbar.device.g_min();
     const double joule_scale = config.v_read * config.v_read *
                                config.t_read_ns * 1e-9 * 1e12;  // -> pJ
 
-    for (nn::Layer* layer : mappable_layers(model)) {
-        Tensor matrix = extract_matrix(*layer);
+    // Layers are dealt over the pool; each layer's tiles sum in tile order
+    // on one worker, and the report sums layers in layer order below, so the
+    // totals do not depend on the deal.
+    const std::vector<nn::Layer*> layers = mappable_layers(model);
+    EnergyReport report;
+    report.layers.resize(layers.size());
+    util::parallel_deal(layers.size(), [&](std::size_t, std::size_t li) {
+        Tensor matrix = extract_matrix(*layers[li]);
         if (method == prune::Method::kChannelFilter)
             matrix = compact_dense(matrix).matrix;
 
@@ -46,8 +52,8 @@ EnergyReport estimate_energy(nn::Sequential& model, prune::Method method,
 
         const Tiling tiling = tiling_for(matrix, method, xbar.size);
 
-        LayerEnergy le;
-        le.layer = layer->name();
+        LayerEnergy& le = report.layers[li];
+        le.layer = layers[li]->name();
         le.tiles = tiling.count();
         for (const Tile& tile : tiling.tiles) {
             // Mapped cells: G⁺ + G⁻ = 2·G_MIN + slope·|w|.
@@ -71,11 +77,12 @@ EnergyReport estimate_energy(nn::Sequential& model, prune::Method method,
                     config.cell_area_um2 +
                 2.0 * static_cast<double>(xbar.size) * config.periph_area_um2_per_line;
         }
+    });
+    for (const LayerEnergy& le : report.layers) {
         report.tiles += le.tiles;
         report.array_energy_pj += le.array_energy_pj;
         report.periph_energy_pj += le.periph_energy_pj;
         report.area_um2 += le.area_um2;
-        report.layers.push_back(std::move(le));
     }
     return report;
 }

@@ -29,12 +29,18 @@ void append_field(std::string& out, const char* key, double v) {
 }
 
 // String fields (reasons carry exception text): escape the characters that
-// would break the one-line flat-JSON format.
+// would break the one-line flat-JSON format. Braces become \u007b / \u007d,
+// so a record holds exactly one '{' and one '}' whatever its strings say —
+// the decoder's torn-line check counts on that.
 void append_escaped(std::string& out, const std::string& text) {
     for (const char c : text) {
         if (c == '"' || c == '\\') {
             out += '\\';
             out += c;
+        } else if (c == '{') {
+            out += "\\u007b";
+        } else if (c == '}') {
+            out += "\\u007d";
         } else if (c == '\n' || c == '\r') {
             out += ' ';
         } else {
@@ -52,11 +58,38 @@ void append_string_field(std::string& out, const char* key,
     out += '"';
 }
 
+// The value of four hex digits at `p`, or -1 if they are not all hex.
+int hex4(const char* p) {
+    int v = 0;
+    for (int k = 0; k < 4; ++k) {
+        const char c = p[k];
+        int d = -1;
+        if (c >= '0' && c <= '9') d = c - '0';
+        if (c >= 'a' && c <= 'f') d = c - 'a' + 10;
+        if (c >= 'A' && c <= 'F') d = c - 'A' + 10;
+        if (d < 0) return -1;
+        v = v * 16 + d;
+    }
+    return v;
+}
+
+// Inverse of append_escaped: "\uXXXX" below 0x80 is that ASCII byte, and
+// any other backslash pair stands for its second character.
 std::string unescape(const std::string& text) {
     std::string out;
     out.reserve(text.size());
     for (std::size_t i = 0; i < text.size(); ++i) {
-        if (text[i] == '\\' && i + 1 < text.size()) ++i;
+        if (text[i] == '\\' && i + 1 < text.size()) {
+            ++i;
+            if (text[i] == 'u' && i + 4 < text.size()) {
+                const int code = hex4(text.c_str() + i + 1);
+                if (code >= 0 && code < 0x80) {
+                    out += static_cast<char>(code);
+                    i += 4;
+                    continue;
+                }
+            }
+        }
         out += text[i];
     }
     return out;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <exception>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -153,6 +154,32 @@ Pool& pool() {
     return p;
 }
 
+// One deal's shared state, on the dispatching thread's stack.
+struct Deal {
+    std::size_t n = 0;
+    DealFn fn = nullptr;
+    void* ctx = nullptr;
+    std::atomic<std::size_t> next{0};
+    std::mutex error_mutex;
+    std::exception_ptr error;  // the first exception fn threw
+};
+
+// The body of every pool part of a deal: draw indices until the counter
+// passes n. An exception moves the counter to n, so nothing more is dealt.
+void deal_part(void* ctx, std::size_t worker, std::size_t, std::size_t) {
+    Deal& deal = *static_cast<Deal*>(ctx);
+    for (std::size_t i = deal.next.fetch_add(1, std::memory_order_relaxed);
+         i < deal.n; i = deal.next.fetch_add(1, std::memory_order_relaxed)) {
+        try {
+            deal.fn(deal.ctx, worker, i);
+        } catch (...) {
+            std::lock_guard<std::mutex> lock(deal.error_mutex);
+            if (!deal.error) deal.error = std::current_exception();
+            deal.next.store(deal.n, std::memory_order_relaxed);
+        }
+    }
+}
+
 }  // namespace
 
 std::size_t worker_count() { return pool().count(); }
@@ -181,6 +208,29 @@ void parallel_for_workers(
 void parallel_for_workers(std::size_t begin, std::size_t end, WorkerRangeFn fn,
                           void* ctx) {
     pool().run(begin, end, fn, ctx);
+}
+
+void parallel_deal(std::size_t n, DealFn fn, void* ctx) {
+    if (n == 0) return;
+    Deal deal;
+    deal.n = n;
+    deal.fn = fn;
+    deal.ctx = ctx;
+    // One part per worker (at most one per index); each part draws indices
+    // until the deal runs dry.
+    pool().run(0, std::min(n, pool().count()), &deal_part, &deal);
+    if (deal.error) std::rethrow_exception(deal.error);
+}
+
+void parallel_deal(std::size_t n,
+                   const std::function<void(std::size_t, std::size_t)>& fn) {
+    using Fn = std::function<void(std::size_t, std::size_t)>;
+    parallel_deal(
+        n,
+        [](void* ctx, std::size_t worker, std::size_t i) {
+            (*static_cast<const Fn*>(ctx))(worker, i);
+        },
+        const_cast<void*>(static_cast<const void*>(&fn)));
 }
 
 }  // namespace xs::util

@@ -54,7 +54,7 @@ public:
     std::vector<std::size_t> permutation(std::size_t n);
 
     // Derive an independent child stream; stable for a given (state, tag).
-    Rng split(std::uint64_t tag);
+    Rng split(std::uint64_t tag) const;
 
 private:
     // Rejected ziggurat candidates re-enter the fast path here.

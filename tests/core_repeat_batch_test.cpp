@@ -5,11 +5,13 @@
 // any repeat count and backend. This is what lets sweeps group a grid
 // point's repeats without changing a single CSV byte.
 #include "core/evaluator.h"
+#include "map/energy.h"
 #include "map/matrix_view.h"
 #include "nn/infer.h"
 #include "nn/trainer.h"
 #include "nn/vgg.h"
 #include "tensor/ops.h"
+#include "util/parallel.h"
 
 #include <gtest/gtest.h>
 
@@ -191,6 +193,70 @@ TEST(RepeatBatch, DegradeModelMatricesMatchesGoldenDigests) {
     EXPECT_EQ(degrade_digest(model, xbar::BackendKind::kFast),
               0x59f8bff495ed860eull)
         << "fast";
+}
+
+// Everything the evaluator and the energy estimate deal over the pool
+// (tiles of every layer, layer plans, per-layer energy), computed once.
+struct DealtOutputs {
+    EvalResult nf;
+    std::uint64_t circuit_digest = 0;
+    std::uint64_t fast_digest = 0;
+    double energy_pj = 0.0;
+    double energy_pj_cf = 0.0;
+};
+
+// The nf-only sweep cell's configuration: circuit, no device variation.
+EvalConfig nf_config() {
+    EvalConfig config = cold_config(xbar::BackendKind::kCircuit);
+    config.xbar.size = 16;
+    config.include_variation = false;
+    return config;
+}
+
+DealtOutputs dealt_outputs(nn::Sequential& model) {
+    DealtOutputs out;
+    const EvalConfig config = nf_config();
+    out.nf = measure_nf(model, config);
+    out.circuit_digest = degrade_digest(model, xbar::BackendKind::kCircuit);
+    out.fast_digest = degrade_digest(model, xbar::BackendKind::kFast);
+    out.energy_pj = map::estimate_energy(model, prune::Method::kNone,
+                                         config.xbar, map::EnergyConfig{})
+                        .total_energy_pj();
+    out.energy_pj_cf = map::estimate_energy(model, prune::Method::kChannelFilter,
+                                            config.xbar, map::EnergyConfig{})
+                           .total_energy_pj();
+    return out;
+}
+
+TEST(RepeatBatch, DealtAndInlineRunsAreBitIdentical) {
+    // At top level the work is dealt over the pool in a different order
+    // every run; inside a pool part every nested deal runs serially, in
+    // index order, on one thread. Both must give the same bits.
+    nn::Sequential model = tiny_vgg(12);
+    const DealtOutputs dealt = dealt_outputs(model);
+    DealtOutputs serial;
+    util::parallel_for_workers(
+        0, util::worker_count(),
+        [&](std::size_t, std::size_t lo, std::size_t) {
+            if (lo == 0) serial = dealt_outputs(model);
+        });
+    expect_identical(serial.nf, dealt.nf, "measure_nf");
+    EXPECT_GT(dealt.nf.total_tiles, 0);
+    // measure_nf skips W′ but reports the per-layer stats that
+    // degrade_model_matrices reports at the same config.
+    EvalResult full;
+    degrade_model_matrices(model, nf_config(), &full.layers);
+    ASSERT_EQ(full.layers.size(), dealt.nf.layers.size());
+    for (std::size_t i = 0; i < full.layers.size(); ++i) {
+        EXPECT_EQ(full.layers[i].tiles, dealt.nf.layers[i].tiles);
+        EXPECT_EQ(full.layers[i].unconverged, dealt.nf.layers[i].unconverged);
+        EXPECT_TRUE(bits_eq(full.layers[i].nf_mean, dealt.nf.layers[i].nf_mean,
+                            "layer nf_mean"));
+    }
+    EXPECT_EQ(serial.circuit_digest, dealt.circuit_digest);
+    EXPECT_EQ(serial.fast_digest, dealt.fast_digest);
+    EXPECT_TRUE(bits_eq(serial.energy_pj, dealt.energy_pj, "energy_pj"));
+    EXPECT_TRUE(bits_eq(serial.energy_pj_cf, dealt.energy_pj_cf, "energy_pj cf"));
 }
 
 TEST(RepeatBatch, PerRepeatResultsMatchSingleSeedRuns) {

@@ -1,21 +1,30 @@
 // Seeded mutation fuzz over every decoder that reads bytes from disk or a
-// socket: the manifest line decoder (sweep/manifest.h) and the wire payload
-// decoders (sweep/wire.h, sweep/net.h). Valid encodings are mutated by byte
-// flips, truncations, insertions and duplicated fields; every case must
-// either be rejected with the outputs untouched, or decode to a well-formed
-// value that survives encode → decode unchanged. Labeled `unit`, so the
-// sanitizer job runs it under ASan/UBSan.
+// socket: the manifest line decoder (sweep/manifest.h), the wire payload
+// decoders (sweep/wire.h, sweep/net.h), the wire frame readers
+// (wire::MessageReader and wire::read_message) and the spec-file reader
+// (sweep/spec.h). Valid encodings are mutated by byte flips, truncations,
+// insertions and duplicated fields; every case must either be rejected with
+// the outputs untouched, or decode to a well-formed value that survives
+// encode → decode unchanged. Labeled `unit`, so the sanitizer job runs it
+// under ASan/UBSan.
 #include "sweep/manifest.h"
 #include "sweep/net.h"
+#include "sweep/spec.h"
 #include "sweep/wire.h"
 #include "util/rng.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <fcntl.h>
+#include <filesystem>
+#include <fstream>
+#include <map>
 #include <string>
+#include <unistd.h>
 #include <vector>
 
 namespace xs::sweep {
@@ -130,9 +139,44 @@ std::vector<Record> manifest_records() {
     failed.status = "failed";
     failed.reason = "solver: \"diverged\" at C:\\tile 3";
     failed.attempts = 4;
+    CellResult braces = failed;
+    braces.reason = "shape mismatch {3, 4}";
+    braces.attempts = 2;
     return {{"vgg11/c10/cf:0.8/x32/r0", ok},
             {"vgg16/\"c100\"/none\\x64/r3", retried},
-            {"vgg11/c10/xrs:0.8/x16/r1", failed}};
+            {"vgg11/c10/xrs:0.8/x16/r1", failed},
+            {"vgg11/c10/{xcs}/x64/r0", braces}};
+}
+
+TEST(DecodeFuzz, ManifestBracesInStringsRoundTrip) {
+    CellResult failed;
+    failed.status = "failed";
+    failed.reason = "shape mismatch {3, 4}";
+    failed.attempts = 3;
+    const std::string line = encode_manifest_line("a/{b}/r0", failed);
+    // Braces inside strings are escaped, so the record keeps exactly one of
+    // each — the torn-line check's invariant.
+    EXPECT_EQ(std::count(line.begin(), line.end(), '{'), 1) << line;
+    EXPECT_EQ(std::count(line.begin(), line.end(), '}'), 1) << line;
+    std::string id;
+    CellResult r;
+    ASSERT_TRUE(decode_manifest_line(line, id, r)) << line;
+    EXPECT_EQ(id, "a/{b}/r0");
+    EXPECT_EQ(r.reason, "shape mismatch {3, 4}");
+    EXPECT_TRUE(r.failed());
+    EXPECT_EQ(r.attempts, 3);
+
+    // A torn record with the next append glued on is still rejected.
+    const std::string glued = line.substr(0, line.size() / 2) + line;
+    id = "untouched";
+    EXPECT_FALSE(decode_manifest_line(glued, id, r)) << glued;
+    EXPECT_EQ(id, "untouched");
+
+    // Text that merely looks like an escape survives as text.
+    failed.reason = "literal \\u007b and \\u12";
+    ASSERT_TRUE(
+        decode_manifest_line(encode_manifest_line("x", failed), id, r));
+    EXPECT_EQ(r.reason, failed.reason);
 }
 
 TEST(DecodeFuzz, ManifestLineRejectsOrRoundTrips) {
@@ -278,6 +322,236 @@ TEST(DecodeFuzz, WirePayloadsRejectOrRoundTrip) {
     std::string reason = "untouched";
     EXPECT_FALSE(net::decode_fail(" 5 reason", idx, reason));
     EXPECT_EQ(idx, -5);
+}
+
+// Frames as a writer would put them on a pipe: a 4-byte little-endian
+// length, a type byte, the payload.
+std::string frame(wire::MsgType type, const std::string& payload) {
+    std::string out(5, '\0');
+    const auto len = static_cast<std::uint32_t>(payload.size());
+    for (int k = 0; k < 4; ++k)
+        out[static_cast<std::size_t>(k)] = static_cast<char>((len >> (8 * k)) & 0xff);
+    out[4] = static_cast<char>(type);
+    return out + payload;
+}
+
+// Overwrite the length prefix at `at` with `len`.
+void set_length(std::string& stream, std::size_t at, std::uint32_t len) {
+    for (int k = 0; k < 4 && at + static_cast<std::size_t>(k) < stream.size(); ++k)
+        stream[at + static_cast<std::size_t>(k)] =
+            static_cast<char>((len >> (8 * k)) & 0xff);
+}
+
+// Write `bytes` into a fresh pipe and close the write end; returns the read
+// end (nonblocking when asked). The streams here stay far below the pipe's
+// buffer, so the write never blocks.
+int pipe_with(const std::string& bytes, bool nonblocking) {
+    int fds[2];
+    EXPECT_EQ(::pipe(fds), 0);
+    EXPECT_EQ(::write(fds[1], bytes.data(), bytes.size()),
+              static_cast<ssize_t>(bytes.size()));
+    ::close(fds[1]);
+    if (nonblocking) ::fcntl(fds[0], F_SETFL, O_NONBLOCK);
+    return fds[0];
+}
+
+std::vector<wire::Message> read_all_reader(const std::string& bytes,
+                                           bool& corrupt_or_eof) {
+    const int fd = pipe_with(bytes, /*nonblocking=*/true);
+    wire::MessageReader reader(fd);
+    reader.fill();  // the write end is closed, so this reads to EOF
+    std::vector<wire::Message> out;
+    wire::Message m;
+    while (reader.pop(m)) out.push_back(m);
+    corrupt_or_eof = reader.finished();
+    ::close(fd);
+    return out;
+}
+
+std::vector<wire::Message> read_all_blocking(const std::string& bytes) {
+    const int fd = pipe_with(bytes, /*nonblocking=*/false);
+    std::vector<wire::Message> out;
+    wire::Message m;
+    while (wire::read_message(fd, m)) out.push_back(m);
+    ::close(fd);
+    return out;
+}
+
+TEST(DecodeFuzz, WireFrameReadersAgreeOnMutatedStreams) {
+    util::Rng rng(0xF024);
+    const std::vector<std::string> payloads = {
+        "",
+        wire::encode_deal(17, 2),
+        "{\"cell\":\"vgg11/c10/none/x16/r0\",\"accuracy\":50}",
+        net::encode_fail(3, "solver: diverged"),
+        std::string(300, 'x')};
+    int truncated = 0, oversized = 0, corrupted = 0;
+    for (int c = 0; c < kCasesPerDecoder / 3; ++c) {
+        // A stream of one to four valid frames...
+        std::string stream;
+        std::vector<std::size_t> starts;
+        const std::uint64_t frames = 1 + rng.uniform_index(4);
+        for (std::uint64_t f = 0; f < frames; ++f) {
+            starts.push_back(stream.size());
+            stream += frame(static_cast<wire::MsgType>(1 + rng.uniform_index(8)),
+                            payloads[rng.uniform_index(payloads.size())]);
+        }
+        // ...then one corruption of its framing.
+        const std::size_t at = starts[rng.uniform_index(starts.size())];
+        switch (rng.uniform_index(4)) {
+            case 0:  // truncated: cut anywhere, length prefix included
+                stream.resize(rng.uniform_index(stream.size() + 1));
+                ++truncated;
+                break;
+            case 1:  // oversized length prefix
+                set_length(stream, at,
+                           wire::kMaxPayload + 1 +
+                               static_cast<std::uint32_t>(rng.uniform_index(1u << 20)));
+                ++oversized;
+                break;
+            case 2:  // corrupt length prefix: any value up to the cap
+                set_length(stream, at,
+                           static_cast<std::uint32_t>(
+                               rng.uniform_index(wire::kMaxPayload + 1)));
+                ++corrupted;
+                break;
+            default:  // byte-level mutation of the whole stream
+                stream = mutate(stream, '\0', rng);
+                ++corrupted;
+                break;
+        }
+        SCOPED_TRACE("case " + std::to_string(c) + ", " +
+                     std::to_string(stream.size()) + " bytes");
+
+        bool finished = false;
+        const std::vector<wire::Message> got = read_all_reader(stream, finished);
+        // The reader always ends finished (EOF or a corrupt frame), never
+        // yields a frame past the cap, and never invents bytes: its frames
+        // re-encode to a prefix of the stream.
+        EXPECT_TRUE(finished);
+        std::string rebuilt;
+        for (const wire::Message& m : got) {
+            EXPECT_LE(m.payload.size(), wire::kMaxPayload);
+            rebuilt += frame(m.type, m.payload);
+        }
+        EXPECT_EQ(stream.compare(0, rebuilt.size(), rebuilt), 0);
+        EXPECT_LE(rebuilt.size(), stream.size());
+
+        // The blocking reader sees exactly the same frames.
+        const std::vector<wire::Message> blocking = read_all_blocking(stream);
+        ASSERT_EQ(blocking.size(), got.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(blocking[i].type, got[i].type);
+            EXPECT_EQ(blocking[i].payload, got[i].payload);
+        }
+    }
+    EXPECT_GT(truncated, 0);
+    EXPECT_GT(oversized, 0);
+    EXPECT_GT(corrupted, 0);
+
+    // An oversized length prefix marks the stream corrupt at once, while
+    // the peer is still connected: the reader does not wait for 1 MiB+ of
+    // payload that a sane writer can never send.
+    {
+        int fds[2];
+        ASSERT_EQ(::pipe(fds), 0);
+        std::string bad = frame(wire::MsgType::kAck, "ok");
+        const std::size_t at = bad.size();
+        bad += frame(wire::MsgType::kAck, "x");
+        set_length(bad, at, wire::kMaxPayload + 1);
+        ASSERT_EQ(::write(fds[1], bad.data(), bad.size()),
+                  static_cast<ssize_t>(bad.size()));
+        ::fcntl(fds[0], F_SETFL, O_NONBLOCK);
+        wire::MessageReader reader(fds[0]);
+        EXPECT_TRUE(reader.fill());  // drained; the writer is still open
+        wire::Message m;
+        ASSERT_TRUE(reader.pop(m));
+        EXPECT_EQ(m.payload, "ok");
+        EXPECT_FALSE(reader.pop(m));
+        EXPECT_TRUE(reader.finished());
+        ::close(fds[0]);
+        ::close(fds[1]);
+    }
+
+    // An unmutated stream reads back frame for frame.
+    std::string stream;
+    for (const std::string& p : payloads) stream += frame(wire::MsgType::kAck, p);
+    bool finished = false;
+    const std::vector<wire::Message> got = read_all_reader(stream, finished);
+    ASSERT_EQ(got.size(), payloads.size());
+    for (std::size_t i = 0; i < got.size(); ++i)
+        EXPECT_EQ(got[i].payload, payloads[i]);
+}
+
+std::string spec_fuzz_path() {
+    const auto dir =
+        std::filesystem::temp_directory_path() / "xs_sweep_decode_fuzz";
+    std::filesystem::create_directories(dir);
+    return (dir / "fuzz.sweep").string();
+}
+
+util::Flags flags_of(const std::vector<std::string>& args) {
+    std::vector<std::string> strings = args;
+    std::vector<char*> argv;
+    static const char* name = "sweep_decode_fuzz_test";
+    argv.push_back(const_cast<char*>(name));
+    for (std::string& a : strings) argv.push_back(a.data());
+    return util::Flags(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(DecodeFuzz, SpecFileRejectsOrMatchesTheSameFlags) {
+    util::Rng rng(0xF025);
+    const std::vector<std::string> corpus = {
+        "# paper grid\n"
+        "variants = vgg11,vgg16\n"
+        "classes = 10\n"
+        "prune = none,cf:0.8,xcs:0.8,xrs:0.8\n"
+        "mitigations = none,rearrange,wct+r\n"
+        "sizes = 16,32,64\n",
+        "sigmas = 0.1,0.2\n"
+        "parasitic-scales = 0.5,1,2\n"
+        "faults = 0:0,0.01:0.001\n"
+        "quant-levels = 0,64\n"
+        "backends = circuit,fast,ideal\n"
+        "sweep-repeats = 2\n"
+        "nf-only = true   # trailing comment\n"};
+    const std::string path = spec_fuzz_path();
+    int accepted = 0;
+    for (int c = 0; c < kCasesPerDecoder / 3; ++c) {
+        const std::string text =
+            mutate(corpus[rng.uniform_index(corpus.size())], '\n', rng);
+        SCOPED_TRACE("case " + std::to_string(c) + ":\n" + text);
+        {
+            std::ofstream out(path, std::ios::binary | std::ios::trunc);
+            out << text;
+        }
+        std::map<std::string, std::string> kv;
+        SweepSpec spec;
+        try {
+            kv = read_spec_file(path);
+            spec = parse_sweep_spec(flags_of({"--spec=" + path}));
+        } catch (const std::exception&) {
+            continue;  // rejected loudly: the contract's other half
+        }
+        ++accepted;
+        EXPECT_GE(spec.repeats, 1);
+        EXPECT_FALSE(spec.variants.empty() || spec.class_counts.empty() ||
+                     spec.prunes.empty() || spec.mitigations.empty() ||
+                     spec.sizes.empty() || spec.sigmas.empty() ||
+                     spec.parasitic_scales.empty() || spec.faults.empty() ||
+                     spec.quant_levels.empty() || spec.backends.empty());
+        // The file says no more than its key/value pairs: the same pairs as
+        // command-line flags give the same grid.
+        std::vector<std::string> args;
+        for (const auto& [key, value] : kv) args.push_back("--" + key + "=" + value);
+        const SweepSpec from_flags = parse_sweep_spec(flags_of(args));
+        EXPECT_EQ(from_flags.describe(), spec.describe());
+        EXPECT_EQ(from_flags.nf_only, spec.nf_only);
+        EXPECT_EQ(from_flags.sizes, spec.sizes);
+        EXPECT_EQ(from_flags.variants, spec.variants);
+    }
+    EXPECT_GT(accepted, kCasesPerDecoder / 30);
+    std::filesystem::remove(path);
 }
 
 }  // namespace

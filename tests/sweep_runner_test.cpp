@@ -1,6 +1,7 @@
 // End-to-end SweepRunner coverage on a deliberately tiny grid: manifest
 // resume after a mid-sweep interruption reproduces the uninterrupted
-// aggregate CSV byte for byte, the CSV is invariant to how repeats are
+// aggregate CSV byte for byte, a quarantined cell stays quarantined across
+// a resume, the CSV is invariant to how repeats are
 // grouped into work units, and the thread-safe ExperimentContext prepares
 // each shared model exactly once.
 #include "core/experiments.h"
@@ -135,6 +136,42 @@ TEST(SweepRunner, InterruptedThenResumedCsvIsByteIdentical) {
     const std::string full = slurp(ctx().csv_path("full.csv"));
     ASSERT_FALSE(full.empty());
     EXPECT_EQ(slurp(resumed.csv_path), full);
+}
+
+TEST(SweepRunner, QuarantinedCellWithBracesInReasonStaysQuarantined) {
+    SweepOptions opts;
+    opts.csv_name = "braces.csv";
+    opts.manifest_name = "braces.jsonl";
+    opts.max_cells = 1;
+    const SweepSummary partial = run(opts);
+    ASSERT_EQ(partial.cells_executed, 1);
+
+    // A quarantine record (as the supervisor writes it) whose reason holds
+    // braces, for a cell the interrupted run did not reach.
+    const std::vector<SweepCell> cells = tiny_spec().expand();
+    const std::string quarantined = cells.back().id();
+    CellResult failed;
+    failed.status = "failed";
+    failed.reason = "shape mismatch {3, 4}";
+    failed.attempts = 3;
+    {
+        std::ofstream out(partial.manifest_path,
+                          std::ios::app | std::ios::binary);
+        out << encode_manifest_line(quarantined, failed) << "\n";
+    }
+
+    opts.max_cells = -1;
+    opts.resume = true;
+    const SweepSummary resumed = run(opts);
+    EXPECT_EQ(resumed.manifest_lines_skipped, 0);
+    EXPECT_EQ(resumed.cells_resumed, 2);
+    EXPECT_EQ(resumed.cells_executed, 2);  // the quarantined cell is not re-run
+    EXPECT_EQ(resumed.cells_failed, 1);
+    ASSERT_EQ(resumed.failed_cells.size(), 1u);
+    EXPECT_EQ(resumed.failed_cells[0], quarantined);
+    const auto manifest = load_manifest(resumed.manifest_path);
+    ASSERT_EQ(manifest.count(quarantined), 1u);
+    EXPECT_EQ(manifest.at(quarantined).reason, "shape mismatch {3, 4}");
 }
 
 // Runs every cell of `spec` as its own one-cell unit — what supervisor and
